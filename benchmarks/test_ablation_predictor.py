@@ -13,7 +13,7 @@ from repro import constants
 
 from repro.core.prediction import (
     build_dataset,
-    evaluate_at_leads,
+    sweep_leads,
     window_features,
     window_level_features,
 )
@@ -68,8 +68,8 @@ def _run_ablation(positives, negatives):
     ).summary()
 
     # The MLP on change and on level features.
-    nn_change = evaluate_at_leads(positives, negatives, leads_h=(LEAD_H,))[0].report
-    nn_level = evaluate_at_leads(
+    nn_change = sweep_leads(positives, negatives, leads_h=(LEAD_H,))[0].report
+    nn_level = sweep_leads(
         positives, negatives, leads_h=(LEAD_H,), feature_fn=window_level_features
     )[0].report
 

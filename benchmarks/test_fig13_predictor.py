@@ -1,7 +1,7 @@
 """Fig 13: the NN CMF predictor swept over prediction leads."""
 
 from repro import constants
-from repro.core.prediction import evaluate_at_leads
+from repro.core.prediction import sweep_leads
 from repro.core.report import ReportRow, format_table
 
 
@@ -9,7 +9,7 @@ def test_fig13_predictor(benchmark, canonical_windows):
     positives, negatives = canonical_windows
 
     def sweep():
-        return evaluate_at_leads(positives, negatives)
+        return sweep_leads(positives, negatives)
 
     evaluations = benchmark.pedantic(sweep, rounds=1, iterations=1)
     by_lead = {e.lead_h: e.report for e in evaluations}

@@ -5,10 +5,9 @@ Times the two hot paths of the live operations stack over a one-year,
 
 * **streaming** — an unpaced :class:`~repro.service.ReplayBus` replay
   with the rollup store subscribed (the ingest path every live sample
-  takes), measured twice: once with per-sample delivery (the
-  compatibility shim, one callback per snapshot) and once with
-  columnar chunked delivery (the live default, one vectorized
-  ``add_block`` per chunk), and
+  takes), measured twice: once per sample (``chunk_size=1``, one
+  callback and one one-row ``add_block`` per snapshot) and once with
+  ``chunk_size=2048`` (one vectorized ``add_block`` per chunk), and
 * **queries** — a dashboard-shaped workload against the
   :class:`~repro.service.QueryEngine` on the hourly rollup level:
   per-day windows across the year, mixed statistics and scopes,
@@ -68,15 +67,13 @@ def _year_result():
     return FacilityEngine(config).run()
 
 
-def _stream_once(database, chunk_size: int, delivery: str) -> Tuple[object, object]:
+def _stream_once(database, chunk_size: int) -> Tuple[object, object]:
     """One unpaced replay with rollups + counter; returns (report, store)."""
     store = RollupStore(num_racks=database.num_racks)
     bus = ReplayBus(database, chunk_size=chunk_size)
-    bus.subscribe(
-        "rollups", RollupSubscriber(store), policy="block", delivery=delivery
-    )
+    bus.subscribe("rollups", RollupSubscriber(store), policy="block")
     counter = CountingSubscriber()
-    bus.subscribe("counter", counter, policy="block", delivery=delivery)
+    bus.subscribe("counter", counter, policy="block")
     report = bus.run()
     assert report.published == database.num_samples
     assert counter.received == database.num_samples
@@ -84,9 +81,7 @@ def _stream_once(database, chunk_size: int, delivery: str) -> Tuple[object, obje
     return report, store
 
 
-def _stream_best(
-    database, chunk_size: int, delivery: str, trials: int
-) -> Tuple[object, object]:
+def _stream_best(database, chunk_size: int, trials: int) -> Tuple[object, object]:
     """Best of ``trials`` replays: rides out scheduler noise.
 
     Streaming a year takes a fraction of a second chunked; on busy or
@@ -96,7 +91,7 @@ def _stream_best(
     """
     best = None
     for _ in range(trials):
-        report, store = _stream_once(database, chunk_size, delivery)
+        report, store = _stream_once(database, chunk_size)
         if best is None or report.rows_per_sec > best[0].rows_per_sec:
             best = (report, store)
     return best
@@ -152,13 +147,9 @@ def test_service_throughput():
     result = _year_result()
     database = result.database
 
-    # -- streaming: per-sample shim vs chunked columnar delivery --
-    sample_report, _ = _stream_best(
-        database, chunk_size=1, delivery="samples", trials=2
-    )
-    chunked_report, store = _stream_best(
-        database, chunk_size=_CHUNK_SIZE, delivery="chunks", trials=3
-    )
+    # -- streaming: one-row chunks vs chunk_size=_CHUNK_SIZE --
+    sample_report, _ = _stream_best(database, chunk_size=1, trials=2)
+    chunked_report, store = _stream_best(database, chunk_size=_CHUNK_SIZE, trials=3)
     chunked_speedup = (
         chunked_report.rows_per_sec / sample_report.rows_per_sec
         if sample_report.rows_per_sec > 0
@@ -186,7 +177,7 @@ def test_service_throughput():
     total = 3 * len(workload)
     mixed_qps = total / (cold_s + warm_s + concurrent_s)
     info = engine.cache_info()
-    assert info["hits"] >= 2 * len(workload)
+    assert info.hits >= 2 * len(workload)
 
     def _qps(elapsed: float) -> float:
         return round(len(workload) / elapsed, 1)
@@ -197,13 +188,13 @@ def test_service_throughput():
         "scenario": f"demo(days={_DAYS}, seed=17, dt_s=3600)",
         "streaming": {
             "samples": chunked_report.published,
-            # The live default: chunked columnar delivery.
+            # Chunked replay, chunk_size=_CHUNK_SIZE.
             "seconds": round(chunked_report.duration_s, 4),
             "samples_per_sec": round(chunked_report.rows_per_sec, 1),
             "achieved_speedup": round(chunked_report.achieved_speedup, 1),
             "chunk_size": _CHUNK_SIZE,
             "chunks": chunked_report.published_chunks,
-            # The compatibility shim, kept for trajectory comparison.
+            # One-row chunks (chunk_size=1): the per-sample stream.
             "per_sample_seconds": round(sample_report.duration_s, 4),
             "per_sample_samples_per_sec": round(sample_report.rows_per_sec, 1),
             "chunked_over_per_sample": round(chunked_speedup, 1),
@@ -214,7 +205,7 @@ def test_service_throughput():
             "warm_queries_per_sec": _qps(warm_s),
             "concurrent_queries_per_sec": _qps(concurrent_s),
             "mixed_queries_per_sec": round(mixed_qps, 1),
-            "cache": info,
+            "cache": info.as_dict(),
         },
     }
     _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
@@ -241,5 +232,5 @@ def test_service_throughput():
     assert mixed_qps > MIN_QUERIES_PER_SEC
     if (os.cpu_count() or 1) >= CHUNK_GATE_CORES:
         assert chunked_speedup >= MIN_CHUNKED_SPEEDUP, (
-            f"chunked delivery only {chunked_speedup:.1f}x over per-sample"
+            f"chunked replay only {chunked_speedup:.1f}x over per-sample"
         )

@@ -23,7 +23,7 @@ from repro import constants
 from repro.core.leadup import aggregate_leadup
 from repro.core.prediction import (
     build_dataset,
-    evaluate_at_leads,
+    sweep_leads,
     tune_architecture,
     window_features,
     window_level_features,
@@ -68,7 +68,7 @@ def main() -> None:
 
     # ---- Fig 13: the lead sweep -------------------------------------------
     print("\nSweeping prediction leads with 5-fold cross-validation...")
-    evaluations = evaluate_at_leads(positives, negatives)
+    evaluations = sweep_leads(positives, negatives)
     print(f"{'lead':>6}  {'accuracy':>8}  {'precision':>9}  {'recall':>7}  "
           f"{'F1':>6}  {'FPR':>6}")
     for evaluation in evaluations:
@@ -105,7 +105,7 @@ def main() -> None:
     logistic_report = evaluate_binary(
         change_ds.labels, logistic.predict(change_ds.features)
     )
-    nn_report = evaluate_at_leads(positives, negatives, leads_h=(lead_h,))[0].report
+    nn_report = sweep_leads(positives, negatives, leads_h=(lead_h,))[0].report
     print(f"  threshold alarm (levels)     : {threshold_report.as_row()}")
     print(f"  logistic regression (changes): {logistic_report.as_row()}")
     print(f"  MLP (changes, 5-fold CV)     : {nn_report.as_row()}")

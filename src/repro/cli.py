@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--chunk-size",
         type=int,
         default=256,
-        help="snapshots per published chunk (1 = per-sample delivery)",
+        help="snapshots per published chunk (1 = one-row chunks)",
     )
 
     chaos = commands.add_parser(
@@ -219,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=[1, 64],
         metavar="N",
-        help="chunk sizes to exercise (1 = per-sample delivery)",
+        help="chunk sizes to exercise (1 = one-row chunks)",
     )
     chaos.add_argument(
         "--scenarios",

@@ -45,7 +45,6 @@ from repro.core.prediction import (
     batch_level_features,
     build_dataset,
     build_datasets,
-    evaluate_at_leads,
     sweep_leads,
     tune_architecture,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "sweep_leads",
     "PredictorEvaluation",
     "build_dataset",
-    "evaluate_at_leads",
     "tune_architecture",
     "AftermathAnalysis",
     "StormSpreadExample",

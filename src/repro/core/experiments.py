@@ -19,7 +19,7 @@ from repro.core.aftermath import analyze_aftermath
 from repro.core.environment import ambient_spatial, ambient_trends
 from repro.core.failure_analysis import analyze_cmfs
 from repro.core.leadup import aggregate_leadup
-from repro.core.prediction import evaluate_at_leads
+from repro.core.prediction import sweep_leads
 from repro.core.report import ReportRow, format_value
 from repro.core.spatial import rack_coolant_profile, rack_power_profile
 from repro.core.trends import (
@@ -262,7 +262,7 @@ def fig13_rows(
     negative_windows: Sequence[LeadupWindow],
     workers: Optional[int] = None,
 ) -> List[ReportRow]:
-    evaluations = evaluate_at_leads(
+    evaluations = sweep_leads(
         positive_windows, negative_windows, leads_h=(6.0, 3.0, 0.5),
         workers=workers,
     )

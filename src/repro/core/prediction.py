@@ -493,31 +493,6 @@ def sweep_leads(
     return evaluations
 
 
-def evaluate_at_leads(
-    positive_windows: Sequence[LeadupWindow],
-    negative_windows: Sequence[LeadupWindow],
-    leads_h: Sequence[float] = DEFAULT_LEADS_H,
-    hidden: Sequence[int] = constants.PREDICTOR_HIDDEN_LAYERS,
-    epochs: int = constants.PREDICTOR_EPOCHS,
-    folds: int = constants.PREDICTOR_CV_FOLDS,
-    seed: int = 5,
-    feature_fn: Callable[[LeadupWindow, float], np.ndarray] = window_features,
-    workers: Optional[int] = None,
-) -> List[PredictorEvaluation]:
-    """Historical name for :func:`sweep_leads` (kept for API stability)."""
-    return sweep_leads(
-        positive_windows,
-        negative_windows,
-        leads_h=leads_h,
-        hidden=hidden,
-        epochs=epochs,
-        folds=folds,
-        seed=seed,
-        feature_fn=feature_fn,
-        workers=workers,
-    )
-
-
 def default_architecture_grid() -> List[Tuple[int, int, int]]:
     """The layer-size search space for Bayesian optimization."""
     sizes = (4, 6, 8, 12, 16, 24)

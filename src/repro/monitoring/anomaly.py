@@ -49,15 +49,6 @@ class CusumConfig:
             raise ValueError("ewma_alpha must be in (0, 1)")
 
 
-@dataclasses.dataclass
-class _ChannelState:
-    mean: float = 0.0
-    variance: float = 1.0
-    positive_sum: float = 0.0
-    negative_sum: float = 0.0
-    samples: int = 0
-
-
 @dataclasses.dataclass(frozen=True)
 class CusumAlarm:
     """One CUSUM alarm."""
@@ -73,9 +64,8 @@ class CusumDetector:
 
     State lives in dense ``(racks, channels)`` arrays so whole
     telemetry chunks advance the recurrence with one vectorized step
-    per timestep (:meth:`consume_block`); :meth:`consume` runs the
-    identical arithmetic on single cells, so the two paths produce the
-    same alarms bit for bit.
+    per timestep (:meth:`consume_block`); :meth:`consume` feeds a
+    one-row block through the same fold.
     """
 
     def __init__(self, config: Optional[CusumConfig] = None) -> None:
@@ -119,90 +109,23 @@ class CusumDetector:
         ):
             new[:size] = previous
 
-    @property
-    def _state(self) -> Dict[Tuple[RackId, Channel], _ChannelState]:
-        """Initialized cells as the historical dict view (tests only)."""
-        state = {}
-        for rack_index, channel_index in np.argwhere(self._active):
-            key = (
-                RackId.from_flat_index(int(rack_index)),
-                PREDICTOR_CHANNELS[channel_index],
-            )
-            state[key] = _ChannelState(
-                mean=float(self._mean[rack_index, channel_index]),
-                variance=float(self._variance[rack_index, channel_index]),
-                positive_sum=float(self._positive[rack_index, channel_index]),
-                negative_sum=float(self._negative[rack_index, channel_index]),
-                samples=int(self._samples[rack_index, channel_index]),
-            )
-        return state
-
-    def _update_channel(
-        self, rack_index: int, channel_index: int, value: float
-    ) -> Optional[float]:
-        """Update one cell; return the alarm statistic if tripped."""
-        cfg = self.config
-        cell = (rack_index, channel_index)
-        if not self._active[cell]:
-            # Start the variance estimate *high* (5 % of the level) so
-            # early z-scores are conservative; the EWMA converges down
-            # to the channel's true noise during warmup.
-            self._mean[cell] = value
-            self._variance[cell] = max((0.05 * abs(value)) ** 2, 1e-6)
-            self._positive[cell] = 0.0
-            self._negative[cell] = 0.0
-            self._samples[cell] = 0
-            self._active[cell] = True
-        self._samples[cell] += 1
-        mean = float(self._mean[cell])
-        variance = float(self._variance[cell])
-        sigma = max(np.sqrt(variance), 1e-9)
-        z = (value - mean) / sigma
-        # Update the running statistics *after* scoring the sample.
-        delta = value - mean
-        self._mean[cell] = mean + cfg.ewma_alpha * delta
-        self._variance[cell] = (1 - cfg.ewma_alpha) * (
-            variance + cfg.ewma_alpha * delta * delta
-        )
-        if self._samples[cell] <= cfg.warmup_samples:
-            return None
-        positive = max(0.0, float(self._positive[cell]) + z - cfg.drift)
-        negative = max(0.0, float(self._negative[cell]) - z - cfg.drift)
-        statistic = max(positive, negative)
-        if statistic > cfg.decision:
-            self._positive[cell] = 0.0
-            self._negative[cell] = 0.0
-            return statistic
-        self._positive[cell] = positive
-        self._negative[cell] = negative
-        return None
-
     def consume(
         self,
         epoch_s: float,
         rack_id: RackId,
         channel_values: Dict[Channel, float],
     ) -> Tuple[CusumAlarm, ...]:
-        """Feed one telemetry sample; returns any alarms raised."""
+        """Feed one rack's sample: :meth:`consume_block` of one row.
+
+        Channels absent from ``channel_values`` (or non-finite) leave
+        their recurrence untouched.
+        """
         rack_index = rack_id.flat_index
-        self._ensure_racks(rack_index + 1)
-        alarms = []
-        for channel_index, channel in enumerate(PREDICTOR_CHANNELS):
-            if channel not in channel_values:
-                continue
-            statistic = self._update_channel(
-                rack_index, channel_index, float(channel_values[channel])
-            )
-            if statistic is not None:
-                alarms.append(
-                    CusumAlarm(
-                        epoch_s=epoch_s,
-                        rack_id=rack_id,
-                        channel=channel,
-                        statistic=statistic,
-                    )
-                )
-        return tuple(alarms)
+        row = {}
+        for channel, value in channel_values.items():
+            row[channel] = np.full((1, rack_index + 1), np.nan)
+            row[channel][0, rack_index] = value
+        return self.consume_block(np.array([epoch_s], dtype="float64"), row)
 
     def consume_block(
         self,
@@ -211,12 +134,11 @@ class CusumDetector:
     ) -> Tuple[CusumAlarm, ...]:
         """Advance every rack x channel recurrence over a whole block.
 
-        Equivalent to calling :meth:`consume` per timestep and rack
-        with each rack's *finite* channel values (non-finite cells do
-        not advance their recurrence, exactly like an absent dict key).
-        The recurrence is sequential in time but vectorized across all
-        ``racks x channels`` cells per step; alarms come back in the
-        per-sample order (time-major, then rack, then channel).
+        Non-finite cells, and every cell of a predictor channel absent
+        from ``values``, do not advance their recurrence.  The
+        recurrence is sequential in time but vectorized across all
+        ``racks x channels`` cells per step; alarms come back
+        time-major, then rack, then channel.
 
         Args:
             epoch_s: ``(timesteps,)`` sample timestamps.
@@ -226,30 +148,15 @@ class CusumDetector:
         present = [ch for ch in PREDICTOR_CHANNELS if ch in values]
         if not present:
             return ()
-        if len(present) < len(PREDICTOR_CHANNELS):
-            # Partial channel sets take the scalar path (state columns
-            # must not be advanced for absent channels).
-            alarms: list = []
-            racks = next(iter(values.values())).shape[1]
-            for t, epoch in enumerate(epoch_s):
-                for rack_index in range(racks):
-                    sample = {
-                        ch: float(values[ch][t, rack_index]) for ch in present
-                    }
-                    sample = {
-                        ch: v for ch, v in sample.items() if np.isfinite(v)
-                    }
-                    if sample:
-                        alarms.extend(
-                            self.consume(
-                                float(epoch),
-                                RackId.from_flat_index(rack_index),
-                                sample,
-                            )
-                        )
-            return tuple(alarms)
-
-        cube = np.stack([values[ch] for ch in PREDICTOR_CHANNELS], axis=2)
+        absent = (
+            None
+            if len(present) == len(PREDICTOR_CHANNELS)
+            else np.full(np.shape(values[present[0]]), np.nan)
+        )
+        cube = np.stack(
+            [values[ch] if ch in values else absent for ch in PREDICTOR_CHANNELS],
+            axis=2,
+        )
         steps, racks, _ = cube.shape
         self._ensure_racks(racks)
         finite = np.isfinite(cube)
@@ -270,6 +177,9 @@ class CusumDetector:
             value = cube[t]
             fresh = observed & ~active
             if fresh.any():
+                # Start the variance estimate *high* (5 % of the level)
+                # so early z-scores are conservative; the EWMA converges
+                # down to the channel's true noise during warmup.
                 mean[fresh] = value[fresh]
                 variance[fresh] = np.maximum(
                     (0.05 * np.abs(value[fresh])) ** 2, 1e-6
@@ -281,6 +191,7 @@ class CusumDetector:
             samples += observed
             sigma = np.maximum(np.sqrt(variance), 1e-9)
             z = (value - mean) / sigma
+            # Update the running statistics *after* scoring the sample.
             delta = value - mean
             mean[...] = np.where(observed, mean + alpha * delta, mean)
             variance[...] = np.where(

@@ -90,7 +90,7 @@ class Prediction:
 class PredictorCounters:
     """Observability counters for every degraded-stream decision."""
 
-    #: Samples offered via :meth:`OnlineCmfPredictor.consume`.
+    #: Samples offered (rows of :meth:`OnlineCmfPredictor.consume_block`).
     consumed: int = 0
     #: Predictions emitted.
     predictions: int = 0
@@ -260,113 +260,35 @@ class OnlineCmfPredictor:
 
     # -- inference ---------------------------------------------------------------
 
-    @staticmethod
-    def _values_at(history: _RackHistory, query_times: np.ndarray) -> np.ndarray:
-        """Linearly interpolated rows at each query time, ``np.interp``
-        clip semantics (before-first -> first row, after-last -> last)."""
-        times = history.times_view
-        values = history.values_view
-        n = len(times)
-        indices = np.searchsorted(times, query_times, side="left")
-        out = np.empty((len(query_times), values.shape[1]))
-        for k, (query, i) in enumerate(zip(query_times, indices)):
-            if i <= 0:
-                out[k] = values[0]
-            elif i >= n:
-                out[k] = values[-1]
-            elif times[i] == query:
-                out[k] = values[i]
-            else:
-                left = times[i - 1]
-                weight = (query - left) / (times[i] - left)
-                out[k] = values[i - 1] + weight * (values[i] - values[i - 1])
-        return out
-
-    def _features(self, history: _RackHistory, now_s: float) -> np.ndarray:
-        now_values = self._values_at(history, np.array([now_s]))[0]
-        then_values = self._values_at(history, now_s - self._lag_offsets_s)
-        denominator = np.where(
-            np.abs(then_values) > 1e-9, np.abs(then_values), 1.0
-        )
-        # (lags, channels) -> channel-major/lag-minor, matching
-        # repro.core.prediction.window_features.
-        return ((now_values[None, :] - then_values) / denominator).T.ravel()
-
     def consume(
         self,
         epoch_s: float,
         rack_id: RackId,
         channel_values: Dict[Channel, float],
     ) -> Optional[Prediction]:
-        """Ingest one sample; return a prediction once history suffices.
+        """Ingest one sample: :meth:`consume_block` of one row.
 
         Missing or NaN predictor channels are repaired by carry-forward
         when recent history allows; late and duplicate samples are
         dropped.  With ``strict=True`` missing channels and late
         arrivals raise ``ValueError`` as they historically did.
 
+        Returns:
+            The prediction, once the rack's history suffices.
+
         Raises:
             ValueError: strict mode only — on missing channels or
                 out-of-order arrival.
         """
-        self.counters.consumed += 1
-        row = np.array(
-            [float(channel_values.get(ch, np.nan)) for ch in PREDICTOR_CHANNELS]
-        )
-        holes = ~np.isfinite(row)
         if self.strict:
             missing = [ch for ch in PREDICTOR_CHANNELS if ch not in channel_values]
             if missing:
                 raise ValueError(
                     f"missing channels: {[m.column for m in missing]}"
                 )
-        history = self._rack(rack_id)
-
-        if history is not None and history.size:
-            last = history.last_time
-            if epoch_s < last:
-                if self.strict:
-                    raise ValueError("samples must arrive in time order per rack")
-                self.counters.dropped_late += 1
-                return None
-            if not self.strict and epoch_s == last:
-                self.counters.dropped_duplicate += 1
-                return None
-            if epoch_s - last > self.gap_reset_s:
-                # The stream went silent; interpolating across the gap
-                # would fabricate six hours of physics.  Start over.
-                self.reset(rack_id)
-                history = None
-                self.counters.gap_resets += 1
-
-        if holes.any():
-            filled = False
-            if (
-                history is not None
-                and history.size
-                and epoch_s - history.last_time <= self.locf_staleness_s
-            ):
-                donor = history.last_row
-                if np.isfinite(donor[holes]).all():
-                    row = np.where(holes, donor, row)
-                    self.counters.locf_fills += int(holes.sum())
-                    filled = True
-            if not filled:
-                self.counters.dropped_incomplete += 1
-                return None
-
-        if history is None:
-            history = _RackHistory(len(PREDICTOR_CHANNELS))
-            self._history[rack_id] = history
-        history.append(epoch_s, row)
-        history.prune_before(epoch_s - self._span_s)
-        if not self.ready(rack_id):
-            return None
-        probability = float(
-            self.model.predict_proba(self._features(history, epoch_s)[None, :])[0]
-        )
-        self.counters.predictions += 1
-        return Prediction(epoch_s=epoch_s, rack_id=rack_id, probability=probability)
+        row = [[float(channel_values.get(ch, np.nan)) for ch in PREDICTOR_CHANNELS]]
+        predictions = self.consume_block(np.array([epoch_s]), rack_id, np.array(row))
+        return predictions[0] if predictions else None
 
     def consume_block(
         self,
@@ -376,15 +298,14 @@ class OnlineCmfPredictor:
     ) -> List[Prediction]:
         """Ingest a block of one rack's samples; return its predictions.
 
-        Equivalent to calling :meth:`consume` once per row with every
-        predictor channel present (missing measurements as NaN) — the
-        late/duplicate/gap/carry-forward state machine runs per row in
-        arrival order, so counters and emitted predictions are
-        *identical* to the per-sample path.  Only the expensive parts
-        are batched: lag interpolation and feature assembly happen in
-        one vectorized pass per block, and each emission still runs a
-        single-row ``predict_proba`` so probabilities match the scalar
-        path bit for bit.
+        The late/duplicate/gap/carry-forward state machine runs per row
+        in arrival order (missing measurements are NaN), so counters
+        and emitted predictions do not depend on how a stream is split
+        into blocks.  Only the expensive parts are batched: lag
+        interpolation and feature assembly happen in one vectorized
+        pass per block, and each emission still runs a single-row
+        ``predict_proba`` so probabilities do not depend on the split
+        either, bit for bit.
 
         Args:
             epoch_s: ``(timesteps,)`` sample timestamps.
@@ -425,6 +346,8 @@ class OnlineCmfPredictor:
                     counters.dropped_duplicate += 1
                     continue
                 if epoch - last > self.gap_reset_s:
+                    # The stream went silent; interpolating across the
+                    # gap would fabricate six hours of physics.  Start over.
                     self.reset(rack_id)
                     history = None
                     counters.gap_resets += 1
@@ -479,11 +402,13 @@ class OnlineCmfPredictor:
     ) -> np.ndarray:
         """Features for a group of emission snapshots, one vector each.
 
-        Replicates :meth:`_values_at` per snapshot view exactly: the
-        "now" query is always an exact hit on the view's last row, and
-        lag queries interpolate with the same elementwise arithmetic
-        (exact hits and before-view clamps handled by mask, not by
-        re-deriving through the interpolation formula).
+        Each snapshot's lag values are linearly interpolated on its own
+        ``[start, end)`` history view with ``np.interp`` clip
+        semantics: the "now" query is always an exact hit on the view's
+        last row, lag queries before the view clamp to its first row,
+        and exact hits take the row itself (both by mask, not by
+        re-deriving through the interpolation formula).  The result is
+        ordered like :func:`repro.core.prediction.window_features`.
         """
         starts = np.array([g[1] for g in group], dtype=np.intp)
         ends = np.array([g[2] for g in group], dtype=np.intp)
@@ -522,16 +447,10 @@ class OnlineCmfPredictor:
         Useful for testing that the online path agrees with the
         offline feature extraction on identical data.
         """
-        predictions = []
-        for i, epoch in enumerate(window.epoch_s):
-            sample = {
-                channel: float(window.channels[channel][i])
-                for channel in PREDICTOR_CHANNELS
-            }
-            prediction = self.consume(float(epoch), window.rack_id, sample)
-            if prediction is not None:
-                predictions.append(prediction)
-        return predictions
+        values = np.stack(
+            [window.channels[channel] for channel in PREDICTOR_CHANNELS], axis=1
+        )
+        return self.consume_block(window.epoch_s, window.rack_id, values)
 
     def reset(self, rack_id: Optional[RackId] = None) -> None:
         """Drop history for one rack (after an outage) or all racks."""

@@ -5,10 +5,9 @@ actually ran: telemetry re-served as a live stream, analytics riding
 it, and an aggregated store answering dashboard queries.
 
 * :mod:`repro.service.bus` — :class:`ReplayBus`, a paced pub/sub
-  dispatcher publishing columnar :class:`BusChunk` blocks (with a
-  per-sample compatibility shim) through bounded per-subscriber
-  queues and explicit backpressure policies (block / drop-oldest /
-  coalesce),
+  dispatcher publishing columnar :class:`BusChunk` blocks through
+  bounded per-subscriber queues and explicit backpressure policies
+  (block / drop-oldest / coalesce),
 * :mod:`repro.service.rollup` — :class:`RollupStore`, incremental
   multi-resolution min/mean/max/count downsamples with quality-aware
   coverage,
@@ -33,10 +32,8 @@ it, and an aggregated store answering dashboard queries.
 
 from repro.service.bus import (
     BACKPRESSURE_POLICIES,
-    DELIVERY_MODES,
     BusChunk,
     BusReport,
-    BusSample,
     ReplayBus,
     SubscriberCounters,
     Subscription,
@@ -87,10 +84,8 @@ from repro.service.subscribers import (
 
 __all__ = [
     "BACKPRESSURE_POLICIES",
-    "DELIVERY_MODES",
     "BusChunk",
     "BusReport",
-    "BusSample",
     "ReplayBus",
     "SubscriberCounters",
     "Subscription",

@@ -13,14 +13,9 @@ Delivery is **columnar and chunked**: the bus batches ``chunk_size``
 consecutive snapshots into a :class:`BusChunk` — one contiguous
 ``(timesteps, racks)`` block per channel, built zero-copy from the
 environmental database's column matrices — and publishes whole chunks.
-Subscribers choose their delivery granularity:
-
-* ``delivery="chunks"`` — the callback receives :class:`BusChunk`
-  objects and is expected to do one vectorized update per chunk (the
-  fast path every first-class subscriber uses),
-* ``delivery="samples"`` — the compatibility shim: the subscription's
-  worker splits each chunk and invokes the callback once per
-  :class:`BusSample`, exactly as the pre-chunking bus did.
+Every callback receives :class:`BusChunk` objects and does one
+vectorized update per chunk; a ``chunk_size`` of 1 delivers one-row
+chunks, the per-sample stream.
 
 Every subscriber gets its **own bounded queue and worker thread**, so
 one slow consumer cannot corrupt another's view of the stream.  What
@@ -45,9 +40,8 @@ including the maximum observed queue depth (chunks) and *lag* (samples
 published but not yet processed), so tests and operators can see
 exactly what each consumer missed.
 
-Payload blocks in a :class:`BusChunk` (and the per-sample vectors the
-shim slices from them) are read-only views into the source store;
-subscribers that retain them across callbacks must copy.
+Payload blocks in a :class:`BusChunk` are read-only views into the
+source store; subscribers that retain them across callbacks must copy.
 """
 
 from __future__ import annotations
@@ -66,29 +60,8 @@ from repro.telemetry.records import Channel
 #: Accepted backpressure policies.
 BACKPRESSURE_POLICIES = ("block", "drop_oldest", "coalesce")
 
-#: Accepted delivery granularities for :meth:`ReplayBus.subscribe`.
-DELIVERY_MODES = ("samples", "chunks")
-
 #: A source row: (epoch_s, channel -> values, channel -> quality).
 SourceRow = Tuple[float, Mapping[Channel, np.ndarray], Mapping[Channel, np.ndarray]]
-
-
-@dataclasses.dataclass(frozen=True)
-class BusSample:
-    """One published whole-floor snapshot.
-
-    Attributes:
-        seq: Publish sequence number (0-based, gap-free at the bus;
-            a subscriber under a lossy policy may observe gaps).
-        epoch_s: Simulated sample timestamp.
-        values: Channel -> per-rack value vector (read-only view).
-        quality: Channel -> per-rack quality flags (read-only view).
-    """
-
-    seq: int
-    epoch_s: float
-    values: Mapping[Channel, np.ndarray]
-    quality: Mapping[Channel, np.ndarray]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,24 +92,13 @@ class BusChunk:
         """Sample sequence number of the chunk's last row."""
         return self.start_seq + len(self.epoch_s) - 1
 
-    def samples(self) -> Iterator[BusSample]:
-        """Split into per-sample views (the compatibility shim)."""
-        for i in range(len(self.epoch_s)):
-            yield BusSample(
-                seq=self.start_seq + i,
-                epoch_s=float(self.epoch_s[i]),
-                values={ch: block[i] for ch, block in self.values.items()},
-                quality={ch: block[i] for ch, block in self.quality.items()},
-            )
-
 
 @dataclasses.dataclass
 class SubscriberCounters:
     """Observability counters for one subscription.
 
-    The historical counters (``enqueued``/``delivered``/``dropped``/
-    ``coalesced``) stay in **sample units** so dashboards and tests
-    written against per-sample delivery keep reading correctly; their
+    ``enqueued``/``delivered``/``dropped``/``coalesced`` count
+    **samples** (rows), so they read the same at any chunk size; their
     ``*_chunks`` twins count the same events in whole-chunk units.
     ``enqueued == delivered + dropped + coalesced`` holds in both
     units once a replay drains.
@@ -172,19 +134,16 @@ class SubscriberCounters:
 class Subscription:
     """One subscriber's queue, worker thread, and counters.
 
-    The queue holds whole :class:`BusChunk` objects.  ``delivery``
-    decides what the callback sees: ``"chunks"`` hands each chunk over
-    verbatim; ``"samples"`` (the compatibility shim) splits every chunk
-    and invokes the callback once per :class:`BusSample`.
+    The queue holds whole :class:`BusChunk` objects; the callback
+    receives each one verbatim.
     """
 
     def __init__(
         self,
         name: str,
-        callback: Callable[..., None],
+        callback: Callable[[BusChunk], None],
         capacity: int,
         policy: str,
-        delivery: str = "samples",
     ) -> None:
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
@@ -192,15 +151,10 @@ class Subscription:
             raise ValueError(
                 f"policy must be one of {BACKPRESSURE_POLICIES}, got {policy!r}"
             )
-        if delivery not in DELIVERY_MODES:
-            raise ValueError(
-                f"delivery must be one of {DELIVERY_MODES}, got {delivery!r}"
-            )
         self.name = name
         self.callback = callback
         self.capacity = capacity
         self.policy = policy
-        self.delivery = delivery
         self.counters = SubscriberCounters()
         self._queue: collections.deque = collections.deque()
         self._cond = threading.Condition()
@@ -295,28 +249,14 @@ class Subscription:
                     return
                 else:
                     continue
-            if self.delivery == "chunks":
-                try:
-                    self.callback(chunk)
-                except Exception:
-                    with self._cond:
-                        self.counters.errors += 1
+            try:
+                self.callback(chunk)
+            except Exception:
                 with self._cond:
-                    self.counters.delivered += len(chunk)
-                    self.counters.delivered_chunks += 1
-            else:
-                for sample in chunk.samples():
-                    try:
-                        self.callback(sample)
-                    except Exception:
-                        with self._cond:
-                            self.counters.errors += 1
-                            self.counters.delivered += 1
-                        continue
-                    with self._cond:
-                        self.counters.delivered += 1
-                with self._cond:
-                    self.counters.delivered_chunks += 1
+                    self.counters.errors += 1
+            with self._cond:
+                self.counters.delivered += len(chunk)
+                self.counters.delivered_chunks += 1
 
     @property
     def backlog(self) -> int:
@@ -411,27 +351,21 @@ class ReplayBus:
     def subscribe(
         self,
         name: str,
-        callback: Callable[..., None],
+        callback: Callable[[BusChunk], None],
         capacity: int = 256,
         policy: str = "block",
-        delivery: str = "samples",
     ) -> Subscription:
         """Register a consumer; its worker thread starts immediately.
 
-        Args:
-            delivery: ``"samples"`` (default) invokes ``callback`` once
-                per :class:`BusSample` — the pre-chunking contract,
-                served by splitting each queued chunk.  ``"chunks"``
-                invokes it once per :class:`BusChunk` for vectorized
-                consumers.
+        ``callback`` is invoked once per :class:`BusChunk`.
 
         Raises:
-            ValueError: on a duplicate name, non-positive capacity,
-                unknown policy, or unknown delivery mode.
+            ValueError: on a duplicate name, non-positive capacity, or
+                unknown policy.
         """
         if any(s.name == name for s in self._subscriptions):
             raise ValueError(f"duplicate subscriber name: {name!r}")
-        subscription = Subscription(name, callback, capacity, policy, delivery)
+        subscription = Subscription(name, callback, capacity, policy)
         self._subscriptions.append(subscription)
         return subscription
 

@@ -331,11 +331,12 @@ def replay_component(
     """Replay WAL ``records`` past ``acked_seq`` through ``apply``.
 
     Records wholly at or below the ack are skipped, and a record
-    straddling it (a per-sample-delivery snapshot taken mid-chunk) is
-    sliced so only the unacked rows re-apply — idempotent replay
-    across the snapshot boundary either way.  Past that, the applied
-    records must be gap-free from ``acked_seq + 1``: a hole means the
-    WAL and snapshot disagree and the derived state cannot be trusted.
+    straddling it (an ack inside a logged chunk; the service acks only
+    at chunk ends, so this is a defensive path) is sliced so only the
+    unacked rows re-apply — idempotent replay across the snapshot
+    boundary either way.  Past that, the applied records must be
+    gap-free from ``acked_seq + 1``: a hole means the WAL and snapshot
+    disagree and the derived state cannot be trusted.
     """
     skipped = 0
     replayed = 0

@@ -11,10 +11,9 @@ after it.
 The rollup subscriber uses the ``block`` policy (the store must see
 every sample for streaming/batch equivalence); the analytics
 subscribers default to ``drop_oldest`` so a slow model can never stall
-ingest.  All first-class subscribers take chunked delivery
-(``ServiceConfig.chunk_size`` snapshots per vectorized update); ad-hoc
-subscribers added to :attr:`LiveOperationsService.bus` default to the
-per-sample shim and see the exact historical stream.
+ingest.  Every subscriber, first-class or added ad hoc to
+:attr:`LiveOperationsService.bus`, receives whole chunks
+(``ServiceConfig.chunk_size`` snapshots per vectorized update).
 
 Resilience (see :mod:`repro.service.resilience` and
 :mod:`repro.service.durability`): every first-class subscriber is
@@ -81,12 +80,8 @@ class ServiceConfig:
     cache_size: int = 1024
     #: Snapshots per published chunk.  The service subscribers consume
     #: whole chunks vectorized; results are identical at any chunk
-    #: size (1 reproduces per-sample delivery exactly).
+    #: size (1 delivers one-row chunks, the per-sample stream).
     chunk_size: int = 256
-    #: Delivery granularity for the first-class subscribers:
-    #: ``"chunks"`` (vectorized, the default) or ``"samples"`` (the
-    #: per-sample shim; results are identical, throughput is not).
-    delivery: str = "chunks"
     #: Supervision policy applied to every first-class subscriber.
     supervision: SupervisorConfig = SupervisorConfig()
     #: Crash durability (WAL + snapshots).  ``None`` = volatile, the
@@ -275,7 +270,6 @@ class LiveOperationsService:
                 wrapper,
                 capacity=config.queue_capacity,
                 policy="block" if name == "rollups" else config.analytics_policy,
-                delivery=config.delivery,
             )
             wrapper.attach(subscription)
 

@@ -175,8 +175,7 @@ class CacheInfo:
     Returned by :meth:`QueryEngine.cache_info` so external reporters —
     the HTTP ``/metrics`` endpoint, ``repro query --stats`` — get the
     counters, occupancy, and derived hit rate as one immutable value
-    instead of reaching into engine internals.  Subscriptable for
-    backward compatibility with the dict it replaced.
+    instead of reaching into engine internals.
     """
 
     hits: int
@@ -198,9 +197,6 @@ class CacheInfo:
         info = dataclasses.asdict(self)
         info["hit_rate"] = self.hit_rate
         return info
-
-    def __getitem__(self, key: str):
-        return self.as_dict()[key]
 
 
 @dataclasses.dataclass

@@ -46,7 +46,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.chaos import ChaosInjector
-from repro.service.bus import BusChunk, BusSample, Subscription
+from repro.service.bus import BusChunk, Subscription
 from repro.telemetry.database import EnvironmentalDatabase
 from repro.telemetry.records import CHANNELS
 
@@ -260,12 +260,8 @@ class SupervisedSubscriber:
 
     # -- the delivery boundary ----------------------------------------------------
 
-    def __call__(self, item: "BusSample | BusChunk") -> None:
-        if isinstance(item, BusChunk):
-            start, end, count = item.start_seq, item.end_seq, len(item)
-        else:
-            start = end = item.seq
-            count = 1
+    def __call__(self, chunk: BusChunk) -> None:
+        start, end, count = chunk.start_seq, chunk.end_seq, len(chunk)
         with self._lock:
             if self.state == "failed":
                 self.counters.skipped += 1
@@ -291,7 +287,7 @@ class SupervisedSubscriber:
                 chaos.before_delivery(self.name, start)
             if start > self.last_acked_seq + 1:
                 self._repair(self.last_acked_seq + 1, start - 1)
-            self.inner(item)
+            self.inner(chunk)
         except Exception as exc:  # noqa: BLE001 - the supervision boundary
             self._on_crash(exc, start)
         else:

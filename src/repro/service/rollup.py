@@ -42,7 +42,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +60,9 @@ _MUTATION_HISTORY = 4096
 
 #: Quality flags counting toward coverage (present and not scrubbed).
 _USABLE_FLAGS = (int(Quality.OK), int(Quality.SUSPECT))
+
+#: Rows per block when folding a finished database in.
+_INGEST_BLOCK_ROWS = 4096
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,8 +88,9 @@ class _ChannelBuckets:
 
     Rows at or beyond the level's ``size`` are uninitialized — every
     bucket row is explicitly written when it is created (``locate`` for
-    row-at-a-time ingest, the tail writes of ``add_block`` for blocks),
-    so fresh capacity is allocated with ``np.empty`` and never padded.
+    buckets behind the newest one, the tail writes of ``add_block``
+    otherwise), so fresh capacity is allocated with ``np.empty`` and
+    never padded.
     """
 
     minimum: np.ndarray  # (cap, racks) float64
@@ -171,35 +175,9 @@ class _Level:
         self.size += 1
         return index
 
-    def add(
-        self,
-        epoch_s: float,
-        values: Mapping[Channel, np.ndarray],
-        quality: Optional[Mapping[Channel, np.ndarray]],
-    ) -> None:
-        index = self.locate(epoch_s)
-        self.samples[index] += 1
-        for channel, vector in values.items():
-            buckets = self.channels[channel]
-            finite = np.isfinite(vector)
-            buckets.minimum[index] = np.fmin(buckets.minimum[index], vector)
-            buckets.maximum[index] = np.fmax(buckets.maximum[index], vector)
-            buckets.total[index] += np.where(finite, vector, 0.0)
-            buckets.count[index] += finite
-            if quality is not None and channel in quality:
-                flags = quality[channel]
-                buckets.usable[index] += (flags == _USABLE_FLAGS[0]) | (
-                    flags == _USABLE_FLAGS[1]
-                )
-            else:
-                buckets.usable[index] += finite
-
     def _ensure_capacity(self, needed: int) -> None:
-        # Block ingest over-allocates (2x the requirement) so a steady
-        # stream of chunks reallocates O(log n) times with geometric
-        # copy cost, not once per chunk batch.
         if self.capacity < needed:
-            self._grow(2 * needed)
+            self._grow(needed)
 
     def add_block(
         self,
@@ -210,10 +188,11 @@ class _Level:
         """Fold a block of rows (non-decreasing epochs) in one pass.
 
         Rows are grouped into per-bucket segments, each segment reduced
-        with ``np.{fmin,fmax,add}.reduceat`` (sequential in-segment
-        application — the same fold order as row-at-a-time :meth:`add`,
-        so min/max/count/usable are exact and totals differ from the
-        sequential path only by one re-association per merged bucket).
+        with ``np.{fmin,fmax,add}.reduceat``.  Extrema and the integer
+        tallies are exact whatever the grouping; ``np.add.reduceat``
+        sums a float segment pairwise, so a bucket's total depends on
+        how its rows were split into blocks and agrees with a
+        row-by-row sum to rounding, not bit for bit.
 
         Two structural fast paths keep the in-order streaming case at
         memory-copy speed: when every row lands in its own bucket (a
@@ -399,7 +378,7 @@ class RollupStore:
         values: Mapping[Channel, np.ndarray],
         quality: Optional[Mapping[Channel, np.ndarray]] = None,
     ) -> None:
-        """Fold one whole-floor sample into every level.
+        """Fold one whole-floor sample in: :meth:`add_block` of one row.
 
         Args:
             epoch_s: Sample timestamp.
@@ -408,12 +387,13 @@ class RollupStore:
             quality: Optional parallel quality flags; without them
                 coverage falls back to finite-ness.
         """
-        with self._lock:
-            for level in self._levels:
-                level.add(epoch_s, values, quality)
-            self._version += 1
-            self._mutations.append((self._version, float(epoch_s)))
-            self.ingested_rows += 1
+        self.add_block(
+            np.array([epoch_s], dtype=np.float64),
+            {ch: np.asarray(vector)[None, :] for ch, vector in values.items()},
+            None
+            if quality is None
+            else {ch: np.asarray(flags)[None, :] for ch, flags in quality.items()},
+        )
 
     def add_block(
         self,
@@ -431,9 +411,10 @@ class RollupStore:
         The store version bumps **once per block** (one mutation-
         history entry stamped at the block's earliest timestamp), so
         downstream cache invalidation scales with chunks rather than
-        samples.  Blocks with internally decreasing timestamps fall
-        back to row-at-a-time folding to keep the out-of-order
-        semantics of :meth:`add` exactly.
+        samples.  A block whose timestamps go backwards is stable-sorted
+        first; buckets behind the newest one are then located (and
+        inserted when new) per segment, so late rows land where they
+        belong.
         """
         epochs = np.asarray(epoch_s, dtype=np.float64)
         if epochs.ndim != 1:
@@ -441,40 +422,35 @@ class RollupStore:
         n = len(epochs)
         if n == 0:
             return
-        with self._lock:
-            if n > 1 and np.any(epochs[1:] < epochs[:-1]):
-                for i in range(n):
-                    row_values = {ch: block[i] for ch, block in values.items()}
-                    row_quality = (
-                        {ch: block[i] for ch, block in quality.items()}
-                        if quality is not None
-                        else None
-                    )
-                    for level in self._levels:
-                        level.add(float(epochs[i]), row_values, row_quality)
+        if n > 1 and np.any(epochs[1:] < epochs[:-1]):
+            order = np.argsort(epochs, kind="stable")
+            epochs = epochs[order]
+            values = {ch: np.asarray(block)[order] for ch, block in values.items()}
+            if quality is not None:
+                quality = {
+                    ch: np.asarray(flags)[order] for ch, flags in quality.items()
+                }
+        prepared = {}
+        for channel, block in values.items():
+            finite = np.isfinite(block)
+            clean = bool(finite.all())
+            if quality is not None and channel in quality:
+                flags = quality[channel]
+                usable = (flags == _USABLE_FLAGS[0]) | (flags == _USABLE_FLAGS[1])
+                if usable.all():
+                    usable = None
             else:
-                prepared = {}
-                for channel, block in values.items():
-                    finite = np.isfinite(block)
-                    clean = bool(finite.all())
-                    if quality is not None and channel in quality:
-                        flags = quality[channel]
-                        usable = (flags == _USABLE_FLAGS[0]) | (
-                            flags == _USABLE_FLAGS[1]
-                        )
-                        if usable.all():
-                            usable = None
-                    else:
-                        usable = None if clean else finite
-                    prepared[channel] = _PreparedBlock(
-                        zeroed=block if clean else np.where(finite, block, 0.0),
-                        finite=None if clean else finite,
-                        usable=usable,
-                    )
-                for level in self._levels:
-                    level.add_block(epochs, values, prepared)
+                usable = None if clean else finite
+            prepared[channel] = _PreparedBlock(
+                zeroed=block if clean else np.where(finite, block, 0.0),
+                finite=None if clean else finite,
+                usable=usable,
+            )
+        with self._lock:
+            for level in self._levels:
+                level.add_block(epochs, values, prepared)
             self._version += 1
-            self._mutations.append((self._version, float(epochs.min())))
+            self._mutations.append((self._version, float(epochs[0])))
             self.ingested_rows += n
 
     def ingest_database(
@@ -483,13 +459,17 @@ class RollupStore:
         start_epoch_s: float = -np.inf,
         end_epoch_s: float = np.inf,
     ) -> int:
-        """Fold every committed row of a database in; returns the count."""
+        """Fold every committed row of a database in; returns the count.
+
+        Rows go in as 4096-row :meth:`add_block` calls, so the store
+        version advances once per block, not once per row.
+        """
         rows = 0
-        for epoch_s, values, quality in database.iter_snapshots(
-            start_epoch_s, end_epoch_s
+        for epoch_s, values, quality in database.iter_blocks(
+            _INGEST_BLOCK_ROWS, start_epoch_s, end_epoch_s
         ):
-            self.add(epoch_s, values, quality)
-            rows += 1
+            self.add_block(epoch_s, values, quality)
+            rows += len(epoch_s)
         return rows
 
     @classmethod
@@ -578,8 +558,9 @@ class RollupStore:
 
     @property
     def version(self) -> int:
-        """Monotonic ingest counter (one bump per :meth:`add` or
-        :meth:`add_block` call)."""
+        """Monotonic ingest counter: one bump per :meth:`add_block` call
+        (:meth:`add` is a one-row block), so after :meth:`from_database`
+        it counts blocks, not rows."""
         with self._lock:
             return self._version
 

@@ -4,7 +4,7 @@ Adapters that wire the existing monitoring stack —
 :class:`~repro.monitoring.online.OnlineCmfPredictor`, the
 :class:`~repro.monitoring.anomaly.CusumDetector`, and the
 :class:`~repro.monitoring.alerts.AlertEngine` — onto
-:class:`~repro.service.bus.ReplayBus` samples, plus the
+:class:`~repro.service.bus.ReplayBus` chunks, plus the
 :class:`RollupSubscriber` that keeps the
 :class:`~repro.service.rollup.RollupStore` current and a
 :class:`CountingSubscriber` used by tests and benchmarks (optionally
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -29,32 +29,24 @@ from repro.facility.topology import RackId
 from repro.monitoring.alerts import Alert, AlertEngine, AlertLog
 from repro.monitoring.anomaly import CusumAlarm, CusumDetector
 from repro.monitoring.online import OnlineCmfPredictor, Prediction
-from repro.service.bus import BusChunk, BusSample
+from repro.service.bus import BusChunk
 from repro.service.rollup import RollupStore
-from repro.telemetry.records import PREDICTOR_CHANNELS, Channel
+from repro.telemetry.records import PREDICTOR_CHANNELS
 
-#: Flat index -> RackId, precomputed (adapters touch it per sample).
+#: Flat index -> RackId, precomputed (adapters touch it per rack).
 _RACK_IDS = tuple(
     RackId.from_flat_index(i) for i in range(constants.NUM_RACKS)
 )
 
 
 class RollupSubscriber:
-    """Folds every sample into a :class:`RollupStore` as it arrives.
-
-    Accepts either delivery granularity: per-sample rows go through
-    :meth:`RollupStore.add`, whole :class:`BusChunk` blocks through the
-    vectorized :meth:`RollupStore.add_block`.
-    """
+    """Folds every chunk into a :class:`RollupStore` as it arrives."""
 
     def __init__(self, store: RollupStore) -> None:
         self.store = store
 
-    def __call__(self, item: "BusSample | BusChunk") -> None:
-        if isinstance(item, BusChunk):
-            self.store.add_block(item.epoch_s, item.values, item.quality)
-        else:
-            self.store.add(item.epoch_s, item.values, item.quality)
+    def __call__(self, chunk: BusChunk) -> None:
+        self.store.add_block(chunk.epoch_s, chunk.values, chunk.quality)
 
     def get_state(self) -> dict:
         """Picklable snapshot payload (see the durability layer)."""
@@ -65,11 +57,11 @@ class RollupSubscriber:
 
 
 class PredictorSubscriber:
-    """Fans whole-floor samples into the streaming CMF predictor.
+    """Fans whole-floor chunks into the streaming CMF predictor.
 
-    Racks with no finite predictor channel in a sample are skipped
-    (the rack is down or dark; offering the sample would only inflate
-    the predictor's ``dropped_incomplete`` counter).  Emitted
+    Racks with no finite predictor channel in a row are skipped for
+    that row (the rack is down or dark; offering the row would only
+    inflate the predictor's ``dropped_incomplete`` counter).  Emitted
     predictions are recorded and, when an alert engine is attached,
     pushed through the alert policy into the alert log.
     """
@@ -85,37 +77,14 @@ class PredictorSubscriber:
         self.alert_log = alert_log if alert_log is not None else AlertLog()
         self.predictions: List[Prediction] = []
 
-    def __call__(self, item: "BusSample | BusChunk") -> None:
-        if isinstance(item, BusChunk):
-            self._consume_chunk(item)
-            return
-        sample = item
-        columns = [sample.values[ch] for ch in PREDICTOR_CHANNELS]
-        finite_any = np.isfinite(columns[0])
-        for column in columns[1:]:
-            finite_any = finite_any | np.isfinite(column)
-        for rack in np.flatnonzero(finite_any):
-            channel_values = {
-                ch: float(column[rack])
-                for ch, column in zip(PREDICTOR_CHANNELS, columns)
-            }
-            prediction = self.predictor.consume(
-                sample.epoch_s, _RACK_IDS[rack], channel_values
-            )
-            if prediction is None:
-                continue
-            self._emit(prediction)
+    def __call__(self, chunk: BusChunk) -> None:
+        """One predictor pass per rack, then time-ordered emission.
 
-    def _consume_chunk(self, chunk: BusChunk) -> None:
-        """One vectorized predictor pass per rack, then ordered emit.
-
-        Per-sample delivery offers each rack only the samples where at
-        least one predictor channel is finite; the chunk path feeds
-        each rack exactly that row subset through
-        :meth:`~repro.monitoring.online.OnlineCmfPredictor.consume_block`,
-        then merges per-rack predictions back into the per-sample
-        emission order (time-major, rack ascending) so recorded
-        predictions and downstream alerts are identical.
+        Each rack's rows with any finite predictor channel go through
+        :meth:`~repro.monitoring.online.OnlineCmfPredictor.consume_block`;
+        the per-rack predictions are then merged time-major, rack
+        ascending, so recorded predictions and downstream alerts do not
+        depend on the chunk size.
         """
         cube = np.stack(
             [chunk.values[ch] for ch in PREDICTOR_CHANNELS], axis=2
@@ -175,24 +144,8 @@ class CusumSubscriber:
         self.detector = detector if detector is not None else CusumDetector()
         self.alarms: List[CusumAlarm] = []
 
-    def __call__(self, item: "BusSample | BusChunk") -> None:
-        if isinstance(item, BusChunk):
-            self.alarms.extend(
-                self.detector.consume_block(item.epoch_s, item.values)
-            )
-            return
-        sample = item
-        for rack in range(len(_RACK_IDS)):
-            channel_values: Dict[Channel, float] = {}
-            for channel in PREDICTOR_CHANNELS:
-                value = float(sample.values[channel][rack])
-                if np.isfinite(value):
-                    channel_values[channel] = value
-            if not channel_values:
-                continue
-            self.alarms.extend(
-                self.detector.consume(sample.epoch_s, _RACK_IDS[rack], channel_values)
-            )
+    def __call__(self, chunk: BusChunk) -> None:
+        self.alarms.extend(self.detector.consume_block(chunk.epoch_s, chunk.values))
 
     def get_state(self) -> dict:
         """Picklable detector recurrence plus the alarm log."""
@@ -211,10 +164,9 @@ class CountingSubscriber:
     """Test/benchmark consumer: counts samples, optionally slowly.
 
     Attributes:
-        delay_s: Artificial processing time per delivery — one
-            callback invocation, i.e. per sample under ``"samples"``
-            delivery and per chunk under ``"chunks"`` (simulates a
-            slow consumer to exercise backpressure policies).
+        delay_s: Artificial processing time per delivered chunk
+            (simulates a slow consumer to exercise backpressure
+            policies).
         keep_seqs: Record every delivered sequence number (ordering
             and gap assertions).
         gaps: Observed discontinuities — deliveries whose first
@@ -236,24 +188,17 @@ class CountingSubscriber:
     gaps: int = 0
     missing: int = 0
 
-    def __call__(self, item: "BusSample | BusChunk") -> None:
+    def __call__(self, chunk: BusChunk) -> None:
         if self.delay_s > 0:
             time.sleep(self.delay_s)
-        if isinstance(item, BusChunk):
-            first_seq, last_seq = item.start_seq, item.end_seq
-            count = len(item)
-            last_epoch = float(item.epoch_s[-1])
-        else:
-            first_seq = last_seq = item.seq
-            count = 1
-            last_epoch = item.epoch_s
+        first_seq, last_seq = chunk.start_seq, chunk.end_seq
         if first_seq <= self.last_seq:
             self.monotonic = False
         elif first_seq > self.last_seq + 1:
             self.gaps += 1
             self.missing += first_seq - self.last_seq - 1
-        self.received += count
+        self.received += len(chunk)
         self.last_seq = last_seq
-        self.last_epoch_s = last_epoch
+        self.last_epoch_s = float(chunk.epoch_s[-1])
         if self.keep_seqs:
             self.seqs.extend(range(first_seq, last_seq + 1))

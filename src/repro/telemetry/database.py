@@ -533,34 +533,6 @@ class EnvironmentalDatabase:
         """
         return self.channel(channel).between(start_epoch_s, end_epoch_s)
 
-    def iter_snapshots(
-        self,
-        start_epoch_s: float = -np.inf,
-        end_epoch_s: float = np.inf,
-    ) -> Iterator[Tuple[float, Dict[Channel, np.ndarray], Dict[Channel, np.ndarray]]]:
-        """Yield committed rows in timestamp order as whole-floor snapshots.
-
-        Each item is ``(epoch_s, values, quality)`` where ``values``
-        maps every channel to its length-``num_racks`` vector and
-        ``quality`` to the parallel :class:`Quality` flags.  Vectors
-        are read-only views into the store — consumers that hold onto
-        them across iterations must copy.
-
-        This is the replay surface used by
-        :class:`repro.service.ReplayBus` to re-stream a finished
-        realization as live telemetry.
-        """
-        self.flush()
-        epochs = self._epoch[: self._size]
-        lo = int(np.searchsorted(epochs, start_epoch_s, side="left"))
-        hi = int(np.searchsorted(epochs, end_epoch_s, side="left"))
-        columns = {ch: self._columns[ch] for ch in CHANNELS}
-        qualities = {ch: self._quality_matrix(ch) for ch in CHANNELS}
-        for i in range(lo, hi):
-            values = {ch: _readonly(columns[ch][i]) for ch in CHANNELS}
-            quality = {ch: _readonly(qualities[ch][i]) for ch in CHANNELS}
-            yield float(epochs[i]), values, quality
-
     def iter_blocks(
         self,
         block_size: int,
@@ -578,9 +550,9 @@ class EnvironmentalDatabase:
         arrays are zero-copy read-only views into the store — no row
         materialization, no dict-per-sample allocation.
 
-        This is the chunked replay surface used by
-        :class:`repro.service.ReplayBus`;
-        :meth:`iter_snapshots` remains the per-row equivalent.
+        This is the replay surface used by
+        :class:`repro.service.ReplayBus` and the block fold behind
+        :meth:`repro.service.RollupStore.from_database`.
         """
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")

@@ -83,7 +83,7 @@ class TestDetection:
         detector = CusumDetector()
         _run(detector, 64.0 + 0.3 * rng.standard_normal(100))
         detector.reset(RackId(0, 0))
-        assert all(k[0] != RackId(0, 0) for k in detector._state)
+        assert not detector._active[RackId(0, 0).flat_index].any()
 
 
 class TestOnLeadupWindows:

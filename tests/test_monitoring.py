@@ -151,9 +151,12 @@ class TestOnlinePredictor:
         assert predictions
         final = predictions[-1]
         offline = window_features(window, lead_h=0.0)
-        streamed = predictor._features(
-            predictor._history[window.rack_id], float(window.epoch_s[-1])
-        )
+        history = predictor._history[window.rack_id]
+        end = history.start + history.size
+        now = float(window.epoch_s[-1])
+        streamed = predictor._batch_features(
+            history, [(history, history.start, end, now)]
+        )[0]
         np.testing.assert_allclose(streamed, offline, rtol=1e-9, atol=1e-12)
         offline_probability = float(
             online_model.predict_proba(offline[None, :])[0]

@@ -7,7 +7,7 @@ from repro import constants
 from repro.core.prediction import (
     build_dataset,
     default_architecture_grid,
-    evaluate_at_leads,
+    sweep_leads,
     tune_architecture,
     window_features,
     window_level_features,
@@ -60,7 +60,7 @@ class TestDataset:
 class TestEvaluation:
     def test_accuracy_curve_shape(self, year_windows):
         positives, negatives = year_windows
-        evaluations = evaluate_at_leads(
+        evaluations = sweep_leads(
             positives, negatives, leads_h=(6.0, 3.0, 0.5)
         )
         acc = {e.lead_h: e.report.accuracy for e in evaluations}
@@ -71,7 +71,7 @@ class TestEvaluation:
 
     def test_fpr_improves_with_shorter_lead(self, year_windows):
         positives, negatives = year_windows
-        evaluations = evaluate_at_leads(
+        evaluations = sweep_leads(
             positives, negatives, leads_h=(6.0, 0.5)
         )
         fpr = {e.lead_h: e.report.false_positive_rate for e in evaluations}
@@ -80,14 +80,14 @@ class TestEvaluation:
 
     def test_five_folds(self, year_windows):
         positives, negatives = year_windows
-        evaluations = evaluate_at_leads(positives, negatives, leads_h=(1.0,))
+        evaluations = sweep_leads(positives, negatives, leads_h=(1.0,))
         assert len(evaluations[0].cross_validation.fold_reports) == 5
 
     def test_level_features_underperform_changes_at_long_lead(self, year_windows):
         """Section VI-D: thresholds on levels lose to change features."""
         positives, negatives = year_windows
-        change = evaluate_at_leads(positives, negatives, leads_h=(4.0,))[0]
-        level = evaluate_at_leads(
+        change = sweep_leads(positives, negatives, leads_h=(4.0,))[0]
+        level = sweep_leads(
             positives, negatives, leads_h=(4.0,), feature_fn=window_level_features
         )[0]
         assert change.report.accuracy > level.report.accuracy

@@ -11,8 +11,8 @@ The acceptance bar for the self-healing service layer:
 * a service **killed mid-stream** and rebuilt by
   :meth:`LiveOperationsService.recover` finishes with rollup buckets,
   predictor emissions, alerts, and CUSUM alarms **bit-identical** to an
-  uninterrupted run (rollup totals to 1e-9 from re-association), for
-  chunked and per-sample delivery alike.
+  uninterrupted run (rollup totals to 1e-9 from re-association), at
+  chunk sizes from one row up.
 """
 
 import dataclasses
@@ -371,18 +371,12 @@ class TestRecoveryEquivalence:
     """The headline pin: kill mid-stream, recover, finish — identical."""
 
     @pytest.mark.parametrize(
-        "delivery,chunk_size",
-        [("chunks", 1), ("chunks", 64), ("samples", 4)],
-        ids=["chunks-1", "chunks-64", "samples-4"],
+        "chunk_size", [1, 4, 64], ids=lambda size: f"chunks-{size}"
     )
     def test_kill_recover_matches_uninterrupted(
-        self, stream_result, tmp_path, delivery, chunk_size
+        self, stream_result, tmp_path, chunk_size
     ):
-        config = ServiceConfig(
-            chunk_size=chunk_size,
-            delivery=delivery,
-            analytics_policy="block",
-        )
+        config = ServiceConfig(chunk_size=chunk_size, analytics_policy="block")
         expected = _baseline(stream_result, config)
 
         durable = dataclasses.replace(
@@ -452,39 +446,41 @@ class TestRecoveryEquivalence:
         _assert_equivalent(expected, final)
 
     def test_snapshot_boundary_straddle(self, stream_result, tmp_path):
-        """Per-sample delivery snapshots mid-chunk; replay slices the
-        straddling WAL record instead of double-applying it."""
-        config = ServiceConfig(
-            chunk_size=4,
-            delivery="samples",
+        """An ack inside a logged chunk: replay slices the straddling
+        WAL record so only its unacked rows re-apply, and the rebuilt
+        rollups equal a fold of exactly the logged rows."""
+        db = stream_result.database
+        durable = ServiceConfig(
+            chunk_size=16,
             analytics_policy="block",
+            durability=DurabilityConfig(directory=tmp_path / "state"),
         )
-        expected = _baseline(stream_result, config)
-        durable = dataclasses.replace(
-            config,
-            durability=DurabilityConfig(
-                directory=tmp_path / "state", snapshot_every_samples=10
-            ),
-        )
-        kill_seq = stream_result.database.num_samples // 2
-        doomed = LiveOperationsService(
-            stream_result.database,
-            model=_StubModel(),
-            cusum=True,
-            config=durable,
-            chaos=ChaosInjector(ChaosConfig(kill_at_seq=kill_seq)),
-        )
-        with pytest.raises(ChaosProcessKill):
-            doomed.run()
-        doomed.abort()
-        recovered = LiveOperationsService.recover(
-            stream_result.database, model=_StubModel(), cusum=True, config=durable
-        )
-        rollups = recovered.recovery.component("rollups")
-        assert rollups.snapshot_seq is not None
-        assert rollups.records_skipped >= 1
-        recovered.run()
-        _assert_equivalent(expected, recovered)
+        LiveOperationsService(db, config=durable).run()
+        records, _, torn = WriteAheadLog.scan(durable.durability.wal_path)
+        assert not torn and len(records) > 3
+        straddled = records[2]
+        acked = straddled.start_seq + 5  # mid-record
+
+        # The component state at the ack: rows [0, acked] folded in.
+        store = RollupStore(num_racks=db.num_racks)
+        rows = db.committed_rows(0, acked + 1)
+        store.add_block(*rows)
+        applied = []
+
+        def apply(chunk):
+            applied.append(chunk)
+            store.add_block(chunk.epoch_s, chunk.values, chunk.quality)
+
+        recovery = replay_component("rollups", records, acked, apply)
+        assert recovery.records_skipped == 2
+        assert recovery.records_replayed == len(records) - 2
+        assert applied[0].start_seq == acked + 1
+        assert applied[0].end_seq == straddled.end_seq
+        replayed = [seq for c in applied for seq in range(c.start_seq, c.end_seq + 1)]
+        assert replayed == list(range(acked + 1, records[-1].end_seq + 1))
+        assert recovery.samples_replayed == len(replayed)
+        assert store.ingested_rows == records[-1].end_seq + 1 == db.num_samples
+        _assert_rollups_equal(RollupStore.from_database(db), store)
 
     def test_recover_without_durability_rejected(self, stream_result):
         with pytest.raises(ValueError, match="durability"):

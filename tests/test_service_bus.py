@@ -41,9 +41,9 @@ class TestPublishing:
         start, end = float(epochs[10]), float(epochs[30])
         captured = []
 
-        def collect(sample):
+        def collect(chunk):
             captured.append(
-                (sample.epoch_s, sample.values[Channel.POWER].copy())
+                (chunk.epoch_s[0], chunk.values[Channel.POWER][0].copy())
             )
 
         bus = ReplayBus(db, start_epoch_s=start, end_epoch_s=end)
@@ -60,9 +60,9 @@ class TestPublishing:
     def test_samples_carry_every_channel(self, demo_result):
         seen = {}
 
-        def collect(sample):
+        def collect(chunk):
             if not seen:
-                seen["channels"] = set(sample.values) | set(sample.quality)
+                seen["channels"] = set(chunk.values) | set(chunk.quality)
 
         bus = ReplayBus(
             demo_result.database,
@@ -192,8 +192,8 @@ class TestBackpressure:
     def test_callback_errors_swallowed_and_counted(self):
         failures = {"count": 0}
 
-        def flaky(sample):
-            if sample.seq % 3 == 0:
+        def flaky(chunk):
+            if chunk.start_seq % 3 == 0:
                 failures["count"] += 1
                 raise RuntimeError("boom")
 

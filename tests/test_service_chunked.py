@@ -1,22 +1,24 @@
-"""Chunked columnar delivery: equivalence with per-sample streaming.
+"""Chunked columnar delivery: chunk-size invariance.
 
 The bus publishes :class:`BusChunk` blocks (N timesteps x racks per
-channel) and every first-class subscriber consumes them vectorized.
-These tests pin the contract that makes that safe: **chunked delivery
-is a pure transport optimization** — rollups, predictions, alarms, and
-alerts are identical to per-sample delivery at any chunk size (rollup
-totals to 1e-9 from re-association; everything else exactly), and the
-backpressure counters reconcile in both units (samples and chunks).
+channel) and every subscriber consumes them vectorized.  These tests
+pin the contract that makes that safe: **the chunk size is a pure
+transport choice** — rollups, predictions, alarms, and alerts at any
+chunk size equal the ``chunk_size=1`` reference (rollup totals to 1e-9
+from re-association; everything else exactly), CUSUM alarms equal a
+plain scalar reference recurrence, and the backpressure counters
+reconcile in both units (samples and chunks).
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from repro.facility.topology import RackId
 from repro.faults import FaultConfig
-from repro.monitoring.anomaly import CusumDetector
+from repro.monitoring.anomaly import CusumAlarm, CusumConfig, CusumDetector
 from repro.monitoring.online import OnlineCmfPredictor
 from repro.service import (
     BusChunk,
@@ -71,11 +73,69 @@ def stream_result():
     return result
 
 
+def _reference_cusum(epochs, values, config=CusumConfig()):
+    """A plain scalar two-sided CUSUM, one (rack, channel) cell at a time.
+
+    Follows the recurrence :class:`CusumConfig` documents: a cell starts
+    at its first finite value with a conservative variance (5 % of the
+    level), scores each sample against the running EWMA mean/sigma
+    *before* updating them, accumulates only after ``warmup_samples``,
+    and resets both sums when one escapes ``decision``.  Non-finite
+    cells and channels absent from ``values`` never advance.  Alarms
+    come out time-major, then rack, then channel.
+    """
+    alpha = config.ewma_alpha
+    cells = {}
+    alarms = []
+    racks = next(iter(values.values())).shape[1]
+    for t, epoch in enumerate(epochs):
+        for rack in range(racks):
+            for channel in PREDICTOR_CHANNELS:
+                if channel not in values:
+                    continue
+                value = float(values[channel][t, rack])
+                if not math.isfinite(value):
+                    continue
+                cell = cells.get((rack, channel))
+                if cell is None:
+                    scale = 0.05 * abs(value)
+                    cell = cells[(rack, channel)] = {
+                        "mean": value,
+                        "variance": max(scale * scale, 1e-6),
+                        "positive": 0.0,
+                        "negative": 0.0,
+                        "samples": 0,
+                    }
+                cell["samples"] += 1
+                mean, variance = cell["mean"], cell["variance"]
+                z = (value - mean) / max(math.sqrt(variance), 1e-9)
+                delta = value - mean
+                cell["mean"] = mean + alpha * delta
+                cell["variance"] = (1 - alpha) * (variance + alpha * delta * delta)
+                if cell["samples"] <= config.warmup_samples:
+                    continue
+                positive = max(0.0, cell["positive"] + z - config.drift)
+                negative = max(0.0, cell["negative"] - z - config.drift)
+                statistic = max(positive, negative)
+                if statistic > config.decision:
+                    alarms.append(
+                        CusumAlarm(
+                            epoch_s=float(epoch),
+                            rack_id=RackId.from_flat_index(rack),
+                            channel=channel,
+                            statistic=statistic,
+                        )
+                    )
+                    positive = negative = 0.0
+                cell["positive"], cell["negative"] = positive, negative
+    return alarms
+
+
 class TestChunkTransport:
     def test_chunks_partition_the_stream(self):
         chunks = []
         bus = ReplayBus(_rows(50), chunk_size=7)
-        bus.subscribe("collect", chunks.append, delivery="chunks")
+        bus.subscribe("collect", chunks.append)
         report = bus.run()
         assert report.published == 50
         assert report.published_chunks == 8
@@ -92,40 +152,29 @@ class TestChunkTransport:
             seq += len(chunk)
         assert seq == 50
 
-    def test_shim_reproduces_per_sample_stream(self):
-        """Default delivery over a chunked bus: the exact legacy stream."""
-        bus = ReplayBus(_rows(40), chunk_size=16)
-        counter = CountingSubscriber(keep_seqs=True)
-        bus.subscribe("counter", counter)  # delivery="samples"
-        report = bus.run()
-        assert report.published == 40
-        assert counter.received == 40
-        assert counter.seqs == list(range(40))
-        assert counter.monotonic
-        assert counter.gaps == 0 and counter.missing == 0
-
     def test_chunk_samples_iterator_matches_per_sample_delivery(self):
+        """The rows of 6-row chunks are the one-row chunks, in order."""
         rows = _rows(23)
         baseline = []
         bus = ReplayBus(rows, chunk_size=1)
-        bus.subscribe(
-            "collect",
-            lambda s: baseline.append(
-                (s.seq, s.epoch_s, s.values[Channel.POWER].copy())
-            ),
-        )
+        bus.subscribe("collect", baseline.append)
         bus.run()
 
         chunks = []
         bus = ReplayBus(rows, chunk_size=6)
-        bus.subscribe("collect", chunks.append, delivery="chunks")
+        bus.subscribe("collect", chunks.append)
         bus.run()
-        unrolled = [s for chunk in chunks for s in chunk.samples()]
+        unrolled = [
+            (chunk.start_seq + i, chunk.epoch_s[i], chunk.values[Channel.POWER][i])
+            for chunk in chunks
+            for i in range(len(chunk))
+        ]
         assert len(unrolled) == len(baseline)
-        for sample, (seq, epoch, power) in zip(unrolled, baseline):
-            assert sample.seq == seq
-            assert sample.epoch_s == epoch
-            np.testing.assert_array_equal(sample.values[Channel.POWER], power)
+        for (seq, epoch, power), single in zip(unrolled, baseline):
+            assert len(single) == 1
+            assert seq == single.start_seq
+            assert epoch == single.epoch_s[0]
+            np.testing.assert_array_equal(power, single.values[Channel.POWER][0])
 
     def test_database_chunks_are_readonly_views(self, stream_result):
         """Chunk payloads alias the database columns — no copies."""
@@ -137,7 +186,7 @@ class TestChunkTransport:
                 first["chunk"] = chunk
 
         bus = ReplayBus(db, chunk_size=64)
-        bus.subscribe("grab", grab, delivery="chunks")
+        bus.subscribe("grab", grab)
         bus.run()
         chunk = first["chunk"]
         for channel in (Channel.POWER, Channel.INLET_TEMPERATURE):
@@ -145,12 +194,9 @@ class TestChunkTransport:
             assert not block.flags.writeable
             assert np.shares_memory(block, db.channel(channel).values)
 
-    def test_invalid_chunk_size_and_delivery_rejected(self):
+    def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ValueError):
             ReplayBus(_rows(1), chunk_size=0)
-        bus = ReplayBus(_rows(1))
-        with pytest.raises(ValueError):
-            bus.subscribe("bad", CountingSubscriber(), delivery="rows")
 
 
 class TestRollupBlockEquivalence:
@@ -169,9 +215,7 @@ class TestRollupBlockEquivalence:
         db = stream_result.database
         store = RollupStore(num_racks=db.num_racks)
         bus = ReplayBus(db, chunk_size=chunk_size)
-        bus.subscribe(
-            "rollups", RollupSubscriber(store), policy="block", delivery="chunks"
-        )
+        bus.subscribe("rollups", RollupSubscriber(store), policy="block")
         bus.run()
         for ours, baseline in zip(store._levels, per_sample_store._levels):
             assert ours.size == baseline.size
@@ -186,7 +230,7 @@ class TestRollupBlockEquivalence:
                 np.testing.assert_array_equal(
                     buckets.usable[:n], expect.usable[:n]
                 )
-                # Extrema fold in the same order: exactly equal.
+                # Extrema do not depend on the grouping: exactly equal.
                 np.testing.assert_array_equal(
                     buckets.minimum[:n], expect.minimum[:n]
                 )
@@ -198,32 +242,46 @@ class TestRollupBlockEquivalence:
                     buckets.total[:n], expect.total[:n], rtol=1e-9, atol=1e-9
                 )
 
-    def test_out_of_order_block_falls_back_to_per_row(self, rng):
-        """A block with internally decreasing epochs still lands right."""
+    def test_out_of_order_block_matches_row_by_row(self, rng):
+        """A block with internally decreasing epochs lands where the
+        same rows added one at a time (in shuffled order) land, and both
+        match a numpy grouping of the rows by bucket."""
         epochs = np.arange(50, dtype="float64") * 60.0
         rng.shuffle(epochs)
         values = rng.normal(size=(50, _RACKS))
         values[rng.random(size=values.shape) < 0.1] = np.nan
 
         blocked = RollupStore(num_racks=_RACKS, resolutions_s=(300.0,))
+        # An in-order row first, so the shuffled block also reaches
+        # behind the newest bucket (the late path), not only sorts.
+        blocked.add(2700.0, {Channel.POWER: values[0]})
         blocked.add_block(epochs, {Channel.POWER: values})
         rowwise = RollupStore(num_racks=_RACKS, resolutions_s=(300.0,))
+        rowwise.add(2700.0, {Channel.POWER: values[0]})
         for i, epoch in enumerate(epochs):
             rowwise.add(float(epoch), {Channel.POWER: values[i]})
 
-        ours, expect = blocked._levels[0], rowwise._levels[0]
-        assert ours.size == expect.size
-        n = ours.size
-        np.testing.assert_array_equal(ours.epoch[:n], expect.epoch[:n])
-        mine = ours.channels[Channel.POWER]
-        theirs = expect.channels[Channel.POWER]
-        np.testing.assert_array_equal(mine.count[:n], theirs.count[:n])
-        np.testing.assert_array_equal(
-            mine.minimum[:n], theirs.minimum[:n]
-        )
-        np.testing.assert_allclose(
-            mine.total[:n], theirs.total[:n], rtol=1e-9, atol=1e-9
-        )
+        all_epochs = np.concatenate([[2700.0], epochs])
+        all_values = np.concatenate([values[:1], values])
+        buckets = np.floor(all_epochs / 300.0) * 300.0
+        starts = np.unique(buckets)
+        finite = np.isfinite(all_values)
+        zeroed = np.where(finite, all_values, 0.0)
+        groups = [buckets == b for b in starts]
+        oracle_count = np.array([finite[g].sum(axis=0) for g in groups])
+        oracle_total = np.array([zeroed[g].sum(axis=0) for g in groups])
+        oracle_min = np.array([np.fmin.reduce(all_values[g]) for g in groups])
+
+        for store in (blocked, rowwise):
+            level = store._levels[0]
+            n = level.size
+            buckets_of = level.channels[Channel.POWER]
+            np.testing.assert_array_equal(level.epoch[:n], starts)
+            np.testing.assert_array_equal(buckets_of.count[:n], oracle_count)
+            np.testing.assert_array_equal(buckets_of.minimum[:n], oracle_min)
+            np.testing.assert_allclose(
+                buckets_of.total[:n], oracle_total, rtol=1e-9, atol=1e-9
+            )
 
     def test_version_bumps_once_per_block(self):
         store = RollupStore(num_racks=_RACKS)
@@ -235,7 +293,8 @@ class TestRollupBlockEquivalence:
 
 
 class TestPredictorBlockEquivalence:
-    """consume_block == consume, decision for decision, bit for bit."""
+    """Blocks of any size == one-row blocks (``consume``), decision for
+    decision, bit for bit."""
 
     _RACK = RackId.from_flat_index(0)
 
@@ -298,21 +357,48 @@ class TestPredictorBlockEquivalence:
 
 
 class TestCusumChunkEquivalence:
+    @pytest.fixture(scope="class")
+    def reference_alarms(self, stream_result):
+        db = stream_result.database
+        values = {ch: db.channel(ch).values for ch in PREDICTOR_CHANNELS}
+        return _reference_cusum(db.epoch_s, values)
+
     @pytest.mark.parametrize("chunk_size", [17, 256])
-    def test_streamed_alarms_identical(self, stream_result, chunk_size):
+    def test_streamed_alarms_identical(
+        self, stream_result, reference_alarms, chunk_size
+    ):
         db = stream_result.database
 
-        def alarms_at(size, delivery):
+        def alarms_at(size):
             subscriber = CusumSubscriber(CusumDetector())
             bus = ReplayBus(db, chunk_size=size)
-            bus.subscribe("cusum", subscriber, policy="block", delivery=delivery)
+            bus.subscribe("cusum", subscriber, policy="block")
             bus.run()
             return subscriber.alarms
 
-        expected = alarms_at(1, "samples")
-        produced = alarms_at(chunk_size, "chunks")
-        assert len(expected) > 0, "faulted stream raised no alarms"
-        assert produced == expected  # exact: epoch, rack, channel, statistic
+        assert len(reference_alarms) > 0, "faulted stream raised no alarms"
+        # Exact: epoch, rack, channel, statistic.
+        assert alarms_at(1) == reference_alarms
+        assert alarms_at(chunk_size) == reference_alarms
+
+    @pytest.mark.parametrize("chunk_size", [1, 64])
+    def test_partial_channel_set_matches_reference(self, stream_result, chunk_size):
+        """Blocks carrying only some predictor channels advance only
+        those channels' recurrences."""
+        db = stream_result.database
+        epochs = db.epoch_s
+        values = {ch: db.channel(ch).values for ch in PREDICTOR_CHANNELS[::2]}
+        expected = _reference_cusum(epochs, values)
+        assert expected, "partial channel set raised no alarms"
+
+        detector = CusumDetector()
+        produced = []
+        for i in range(0, len(epochs), chunk_size):
+            block = {ch: column[i : i + chunk_size] for ch, column in values.items()}
+            produced.extend(detector.consume_block(epochs[i : i + chunk_size], block))
+        assert produced == expected
+        absent = [PREDICTOR_CHANNELS.index(ch) for ch in PREDICTOR_CHANNELS[1::2]]
+        assert not detector._active[:, absent].any()
 
 
 class TestChunkedBackpressure:
@@ -324,9 +410,7 @@ class TestChunkedBackpressure:
     def _run_slow(self, policy, delay_s=0.004):
         bus = ReplayBus(_rows(self.N), chunk_size=self.CHUNK)
         slow = CountingSubscriber(delay_s=delay_s, keep_seqs=True)
-        bus.subscribe(
-            "slow", slow, capacity=2, policy=policy, delivery="chunks"
-        )
+        bus.subscribe("slow", slow, capacity=2, policy=policy)
         report = bus.run()
         return report, slow, report.subscribers["slow"]
 
@@ -373,10 +457,8 @@ class TestChunkedBackpressure:
         bus = ReplayBus(_rows(self.N), chunk_size=self.CHUNK)
         slow = CountingSubscriber(delay_s=0.01)
         fast = CountingSubscriber(keep_seqs=True)
-        bus.subscribe(
-            "slow", slow, capacity=2, policy="drop_oldest", delivery="chunks"
-        )
-        bus.subscribe("fast", fast, capacity=self.N, delivery="samples")
+        bus.subscribe("slow", slow, capacity=2, policy="drop_oldest")
+        bus.subscribe("fast", fast, capacity=self.N)
         report = bus.run()
         assert fast.seqs == list(range(self.N))
         assert fast.gaps == 0
@@ -391,22 +473,17 @@ class TestInvalidationBatching:
     def test_store_version_advances_per_chunk(self):
         rows = _rows(240)
 
-        def version_after(chunk_size, delivery):
+        def version_after(chunk_size):
             store = RollupStore(num_racks=_RACKS)
             bus = ReplayBus(rows, chunk_size=chunk_size)
-            bus.subscribe(
-                "rollups",
-                RollupSubscriber(store),
-                policy="block",
-                delivery=delivery,
-            )
+            bus.subscribe("rollups", RollupSubscriber(store), policy="block")
             report = bus.run()
             return store, report
 
-        store, report = version_after(48, "chunks")
+        store, report = version_after(48)
         assert report.published_chunks == 5
         assert store.version == 5  # one invalidation per chunk...
-        per_sample, _ = version_after(1, "samples")
+        per_sample, _ = version_after(1)
         assert per_sample.version == 240  # ...not one per sample
 
     def test_queries_warm_across_chunked_replay(self, stream_result):
@@ -414,9 +491,7 @@ class TestInvalidationBatching:
         db = stream_result.database
         store = RollupStore(num_racks=db.num_racks)
         bus = ReplayBus(db, chunk_size=128)
-        bus.subscribe(
-            "rollups", RollupSubscriber(store), policy="block", delivery="chunks"
-        )
+        bus.subscribe("rollups", RollupSubscriber(store), policy="block")
         bus.run()
         engine = QueryEngine(store)
         query = Query(
@@ -429,7 +504,7 @@ class TestInvalidationBatching:
         first = engine.execute(query)
         second = engine.execute(query)
         assert first.value == second.value
-        assert engine.cache_info()["hits"] >= 1
+        assert engine.cache_info().hits >= 1
 
 
 class TestLiveServiceChunkedEquivalence:

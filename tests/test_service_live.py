@@ -168,8 +168,8 @@ class TestWeekReplayWithFaults:
         service = LiveOperationsService(result.database)
         seen = []
 
-        def probe(sample):
-            if sample.seq % 16 == 0:
+        def probe(chunk):
+            if chunk.start_seq % 16 == 0:
                 answer = service.engine.execute(
                     Query(
                         "aggregate",

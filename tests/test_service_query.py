@@ -284,8 +284,6 @@ class TestCaching:
             "capacity",
             "hit_rate",
         }
-        # The legacy mapping-style read keeps working.
-        assert info["hits"] == info.hits
         assert info.capacity == engine.cache_size
 
     def test_cache_info_hit_rate(self, faulted_result, engine):
