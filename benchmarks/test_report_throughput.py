@@ -2,21 +2,20 @@
 
 Times :func:`repro.core.experiments.full_report` over the canonical
 six-year realization twice — ``workers=1`` (everything in-process)
-against the process pool with the zero-copy fan-out (workers reopen
-the telemetry archive memory-mapped; only the archive *path* crosses
-the process boundary).  The window synthesis for Figs 12/13 — the
-dominant serial cost — is sharded across the pool, and the two reports
-are asserted identical row for row, so the speedup is never bought
-with a numerics change.
+against the process pool.  Pool workers are forked children that read
+the result from the memory they inherited; only task tuples and the
+finished rows or windows cross the process boundary.  The window
+synthesis for Figs 12/13 — the dominant serial cost — is sharded
+across the pool, and the two reports are asserted identical row for
+row, so the speedup is never bought with a numerics change.
 
 Both passes run with the section memo store disabled — this benchmark
 measures raw pipeline throughput, and a cache hit would reduce it to
 timing disk reads.  The cache regimes (cold / warm / append-delta) are
-measured separately and recorded alongside, so the JSON tells the
-whole story: on a small box the parallel "speedup" hovers near 1x
-(and is meaningless — the report records ``cpu_count`` and gates only
-at four-plus cores, with ``parallel_gated`` saying which applied),
-while the warm-cache numbers show where rebuild time actually goes.
+measured separately and recorded alongside.  The JSON records
+``cpu_count``, and the speedup gate applies only at four-plus cores
+(``parallel_gated`` says which applied), while the warm-cache numbers
+show where rebuild time actually goes.
 
 Results are written to ``BENCH_report.json`` at the repo root so CI
 can surface regressions.

@@ -5,11 +5,20 @@ editable installs work in offline environments whose pip cannot build
 PEP 517 wheels (no `wheel` package available).
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# One source for the version: the package's own ``__version__``.
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"', _INIT.read_text(), re.MULTILINE
+).group(1)
 
 setup(
     name="repro",
-    version="1.6.0",
+    version=VERSION,
     description=(
         "Reproduction of 'Operating Liquid-Cooled Large-Scale Systems' "
         "(HPCA 2021): synthetic Mira facility simulator, telemetry store, "

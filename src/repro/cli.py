@@ -309,8 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "1 = threaded single process (ingest supported); >1 = that "
-            "many pre-forked read-only workers over a memory-mapped "
-            "archive"
+            "many pre-forked read-only workers sharing the dataset the "
+            "parent loaded"
         ),
     )
     serve_http.add_argument(
@@ -688,8 +688,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_http(args: argparse.Namespace) -> int:
-    import tempfile
-
     from repro.service.http import (
         IngestServerConfig,
         OperationsApp,
@@ -706,43 +704,34 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             return 1
         tokens[collector] = token
 
-    if args.workers > 1:
-        # Pre-forked read-only workers need an on-disk archive every
-        # child can reopen memory-mapped.
-        if args.archive is not None:
-            archive_dir = args.archive
-            cleanup = None
-        else:
-            result = _simulated_database(args.days, args.seed, args.dt)
-            cleanup = tempfile.TemporaryDirectory(prefix="repro-http-")
-            archive_dir = Path(cleanup.name) / "archive"
-            TelemetryArchive.save(result.database, archive_dir)
-        try:
-            def announce(host: str, port: int) -> None:
-                print(
-                    f"serving {archive_dir} read-only on http://{host}:{port} "
-                    f"with {args.workers} workers (Ctrl-C to stop)",
-                    flush=True,
-                )
-
-            failures = serve_prefork(
-                archive_dir,
-                workers=args.workers,
-                host=args.host,
-                port=args.port,
-                duration_s=args.duration,
-                cache_size=args.cache_size,
-                ready_callback=announce,
-            )
-        finally:
-            if cleanup is not None:
-                cleanup.cleanup()
-        return 0 if failures == 0 else 1
-
     if args.archive is not None:
         database = TelemetryArchive.load(args.archive, mmap=True)
     else:
         database = _simulated_database(args.days, args.seed, args.dt).database
+
+    if args.workers > 1:
+        # Forked workers inherit this read-only app; an ingest gateway
+        # would write into one child's copy of the database only.
+        app = OperationsApp.from_database(database, cache_size=args.cache_size)
+
+        def announce(host: str, port: int) -> None:
+            print(
+                f"serving {database.num_samples} samples read-only on "
+                f"http://{host}:{port} with {args.workers} workers "
+                "(Ctrl-C to stop)",
+                flush=True,
+            )
+
+        failures = serve_prefork(
+            app,
+            workers=args.workers,
+            host=args.host,
+            port=args.port,
+            duration_s=args.duration,
+            ready_callback=announce,
+        )
+        return 0 if failures == 0 else 1
+
     ingest = None if args.no_ingest else IngestServerConfig(tokens=tokens)
     app = OperationsApp.from_database(
         database, cache_size=args.cache_size, ingest=ingest

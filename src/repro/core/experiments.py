@@ -10,6 +10,7 @@ the same rows — one source of truth for what "reproduced" means.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -335,74 +336,45 @@ FIG13_TITLE = "Fig 13 — the CMF predictor"
 
 _BUILDERS_BY_NAME = {fn.__name__: fn for _, fn in SECTION_BUILDERS}
 
-#: Worker-side memo: archive directory -> reassembled result, so one
-#: worker process reopens the memory-mapped telemetry once however many
-#: tasks it executes.  Keyed by path; populated lazily in each worker.
-_WORKER_RESULTS: Dict[str, SimulationResult] = {}
+#: The result :func:`full_report` is dispatching, set only while its
+#: tasks run.  Pool workers are forked children (see
+#: :mod:`repro.parallel`), so they read it from the memory they
+#: inherited and no task payload carries the dataset.
+_REPORT_RESULT: Optional[SimulationResult] = None
+#: Serializes dispatches: a fork must see its own caller's result.
+_REPORT_LOCK = threading.Lock()
 
 
-def _result_spec(result: SimulationResult, workers: int):
-    """How to hand ``result`` to a task.
-
-    With one worker everything runs in-process, so the result object is
-    passed through untouched.  With a pool, the telemetry is
-    materialized as an on-disk archive and workers get the *path* —
-    they reopen the columns with ``TelemetryArchive.load(mmap=True)``
-    instead of receiving the multi-hundred-MB database through a
-    pickle.  Results that cannot be archived (fault-injected runs,
-    whose quality masks the archive format does not carry) fall back to
-    inline pickling.
-    """
-    if workers <= 1:
-        return ("inline", result)
-    from repro.simulation.datasets import materialize_archive
-
-    archive = materialize_archive(result)
-    if archive is None:
-        return ("inline", result)
-    return (
-        "archive",
-        result.config,
-        str(archive),
-        result.jobs_completed,
-        result.jobs_killed,
-    )
-
-
-def _resolve_spec(spec) -> SimulationResult:
-    """Worker-side half of :func:`_result_spec` (memoized per process)."""
-    if spec[0] == "inline":
-        return spec[1]
-    _, config, archive_dir, jobs_completed, jobs_killed = spec
-    cached = _WORKER_RESULTS.get(archive_dir)
-    if cached is not None and cached.config == config:
-        return cached
-    from repro.simulation.datasets import result_from_archive
-
-    result = result_from_archive(config, archive_dir, jobs_completed, jobs_killed)
-    _WORKER_RESULTS[archive_dir] = result
-    return result
-
-
-def _report_task(spec, task):
+def _report_task(kind: str, *args):
     """One unit of parallel report work (must stay module-level picklable).
 
-    ``task`` is ``("section", builder_name)``,
+    ``(kind, *args)`` is ``("section", builder_name)``,
     ``("positives", lo, hi)``, or ``("negatives", count, lo, hi)``; the
     window slices are bit-identical to the serial synthesis because
     window *i*'s noise depends only on its index (see
     :class:`~repro.simulation.windows.WindowSynthesizer`).
     """
-    result = _resolve_spec(spec)
-    kind = task[0]
+    result = _REPORT_RESULT
     if kind == "section":
-        return _BUILDERS_BY_NAME[task[1]](result)
+        return _BUILDERS_BY_NAME[args[0]](result)
     synthesizer = WindowSynthesizer(result)
     if kind == "positives":
-        return synthesizer.positive_windows(task[1], task[2])
+        return synthesizer.positive_windows(*args)
     if kind == "negatives":
-        return synthesizer.negative_windows(task[1], lo=task[2], hi=task[3])
+        count, lo, hi = args
+        return synthesizer.negative_windows(count, lo=lo, hi=hi)
     raise ValueError(f"unknown report task {kind!r}")
+
+
+def _dispatch(result: SimulationResult, tasks: List[Tuple], workers: int) -> List:
+    """Run report tasks with ``result`` in the slot the workers read."""
+    global _REPORT_RESULT
+    with _REPORT_LOCK:
+        _REPORT_RESULT = result
+        try:
+            return pstarmap(_report_task, tasks, workers=workers, chunksize=1)
+        finally:
+            _REPORT_RESULT = None
 
 
 def _chunk_bounds(total: int, chunks: int) -> List[Tuple[int, int]]:
@@ -486,9 +458,11 @@ def full_report(
     """All figures' comparisons, keyed by a section title.
 
     Every figure section is an independent task fanned out over a
-    process pool (:func:`repro.parallel.pstarmap`); the assembled
-    report is bit-identical at any worker count, and ``workers=1``
-    runs the exact same task functions serially in-process.
+    process pool (:func:`repro.parallel.pstarmap`) whose forked
+    workers read ``result`` from inherited memory, so the report
+    writes nothing to disk to hand it over.  The assembled report is
+    bit-identical at any worker count, and ``workers=1`` runs the
+    exact same task functions serially in-process.
 
     The Fig 12/13 sections are included when windows are given, or
     when ``synthesize_windows`` asks the report to build them itself —
@@ -584,13 +558,7 @@ def full_report(
     tasks = window_tasks + section_tasks
     if tasks:
         count = min(count, len(tasks))
-        spec = _result_spec(result, count)
-        outputs = pstarmap(
-            _report_task,
-            [(spec, task) for task in tasks],
-            workers=count,
-            chunksize=1,
-        )
+        outputs = _dispatch(result, tasks, count)
     else:
         outputs = []
 

@@ -18,9 +18,14 @@ This module centralizes the three things every call site needs:
   fallback at ``workers=1`` and first-error propagation, so results
   are bit-identical between the serial and parallel paths.
 
-Workers are separate processes (``fork`` where available), so mapped
-functions and their payloads must be picklable: module-level functions
-and plain data, not closures.
+Workers are ``fork`` children: each starts with a copy-on-write image
+of the parent's memory, so a task may read data the parent held when
+the pool started (the paper report leaves its dataset in a module
+slot for exactly that) instead of receiving it through a pipe.  Where
+the platform offers no ``fork`` start method, :func:`pmap` runs every
+task in-process.  Mapped functions and their payloads are still
+pickled per dispatch, so they must be module-level functions and
+plain data, not closures.
 
 The map is hardened against the two ways a pool dies in practice:
 
@@ -131,13 +136,6 @@ def task_rngs(seed: int, count: int) -> List[np.random.Generator]:
     return [np.random.default_rng(s) for s in spawn_seeds(seed, count)]
 
 
-def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
-    """Prefer ``fork`` (cheap, inherits the parent image) where offered."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
-
-
 def _run_chunk(fn: Callable[[_T], _R], chunk: Sequence[_T]) -> List[_R]:
     """One dispatched unit of work: a contiguous slice of the items."""
     return [fn(item) for item in chunk]
@@ -154,10 +152,10 @@ def pmap(
     """Map ``fn`` over ``items`` on a process pool, preserving order.
 
     Falls back to a plain in-process loop when the resolved worker
-    count is 1 (or there is at most one item), so the serial path runs
-    exactly the same code on exactly the same inputs.  The first
-    exception raised by any task propagates to the caller and cancels
-    the pool.
+    count is 1, when there is at most one item, or when the platform
+    cannot ``fork``, so the serial path runs exactly the same code on
+    exactly the same inputs.  The first exception raised by any task
+    propagates to the caller and cancels the pool.
 
     Killed workers don't lose the batch: when the pool breaks (a
     worker was OOM-killed or segfaulted), completed chunks are
@@ -191,7 +189,11 @@ def pmap(
     """
     items = list(items)
     count = resolve_workers(workers, max_tasks=len(items))
-    if count <= 1 or len(items) <= 1:
+    if (
+        count <= 1
+        or len(items) <= 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
         return [fn(item) for item in items]
     if pool_retries < 0:
         raise ValueError(f"pool_retries cannot be negative, got {pool_retries}")
@@ -203,7 +205,8 @@ def pmap(
     broken_pools = 0
     while pending:
         pool = ProcessPoolExecutor(
-            max_workers=min(count, len(pending)), mp_context=_fork_context()
+            max_workers=min(count, len(pending)),
+            mp_context=multiprocessing.get_context("fork"),
         )
         futures = {
             index: pool.submit(_run_chunk, fn, chunks[index]) for index in pending

@@ -10,7 +10,7 @@ post telemetry through:
   socket-free route dispatcher (tests drive it directly),
 * :mod:`repro.service.http.server` — :class:`OperationsHttpServer`
   (threaded, shared app, supports ingest) and :func:`serve_prefork`
-  (read-only workers over a memory-mapped archive),
+  (forked read-only workers sharing the parent's app),
 * :mod:`repro.service.http.ingest` — :class:`IngestGateway`: auth,
   backpressure, policy-routed appends, incremental rollup folding,
 * :mod:`repro.service.http.collectors` — :class:`IngestClient` with

@@ -48,7 +48,6 @@ from repro.service.http.protocol import (
 )
 from repro.service.query import QueryEngine
 from repro.service.rollup import DEFAULT_RESOLUTIONS_S, RollupStore
-from repro.telemetry.archive import TelemetryArchive
 from repro.telemetry.database import EnvironmentalDatabase
 
 #: Series responses larger than this are refused (422) — a six-year
@@ -148,30 +147,6 @@ class OperationsApp:
             else None
         )
         return cls(engine, gateway=gateway, chaos=chaos, database=database)
-
-    @classmethod
-    def from_archive(
-        cls,
-        archive_dir,
-        resolutions_s: Tuple[float, ...] = DEFAULT_RESOLUTIONS_S,
-        cache_size: int = 1024,
-        chaos=None,
-    ) -> "OperationsApp":
-        """Read-only query tier over a memory-mapped telemetry archive.
-
-        This is the per-worker entry point of the pre-forked server:
-        each worker process calls it after ``fork`` and reopens the
-        archive memory-mapped — zero-copy, nothing pickled or shipped
-        over a pipe — so read throughput scales with cores while the
-        page cache backs all workers with one copy of the data.
-        """
-        database = TelemetryArchive.load(archive_dir, mmap=True)
-        return cls.from_database(
-            database,
-            resolutions_s=resolutions_s,
-            cache_size=cache_size,
-            chaos=chaos,
-        )
 
     # -- dispatch -----------------------------------------------------------------
 
@@ -350,13 +325,15 @@ class OperationsApp:
                 },
             },
         }
+        # A block that cannot be built names its failure instead of
+        # vanishing, so a scrape tells "broken" from "not configured".
         if self.database is not None:
             try:
                 # flush=False: hash committed rows only, so a metrics
                 # poll never forces partially-assembled batches in.
                 payload["dataset"] = self.database.digest_info(flush=False).as_dict()
-            except Exception:  # noqa: BLE001 - observability is best effort
-                pass
+            except Exception as exc:  # noqa: BLE001 - reported in the block
+                payload["dataset"] = _error_block(exc)
         try:
             from repro.analytics.incremental import default_store
 
@@ -371,8 +348,8 @@ class OperationsApp:
                 payload["section_cache"]["bytes"] = sum(
                     entry.size_bytes for entry in entries
                 )
-        except Exception:  # noqa: BLE001 - observability is best effort
-            pass
+        except Exception as exc:  # noqa: BLE001 - reported in the block
+            payload["section_cache"] = _error_block(exc)
         if self.gateway is not None:
             payload["ingest"] = self.gateway.metrics()
         if self.service is not None:
@@ -393,6 +370,11 @@ class OperationsApp:
                 self.counters.chaos_errors += 1
             else:
                 self.counters.chaos_resets += 1
+
+
+def _error_block(exc: Exception) -> Dict[str, str]:
+    """The ``/metrics`` stand-in for a block that raised."""
+    return {"error": f"{type(exc).__name__}: {exc}"}
 
 
 def _bearer_token(headers: Mapping[str, str]) -> Optional[str]:

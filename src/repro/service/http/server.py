@@ -10,13 +10,13 @@ Two serving modes, one app:
   from ``repro serve-http``.
 
 * :func:`serve_prefork` — a **pre-forked worker pool** for read-only
-  query serving.  The parent binds the listening socket once, then
-  forks ``workers`` children; each child reopens the telemetry archive
-  memory-mapped (zero-copy — the page cache backs every worker with
-  one copy of the data, nothing is pickled across the fork) and runs
-  its own accept loop on the inherited socket, so the kernel load-
-  balances connections across processes and read throughput scales
-  with cores instead of queueing behind one GIL.
+  query serving.  The parent builds one read-only app and binds the
+  listening socket, then forks ``workers`` children.  Each child
+  serves the app it inherited — database, rollups and query engine
+  are shared copy-on-write with the parent, nothing is reopened or
+  pickled — and runs its own accept loop on the inherited socket, so
+  the kernel load-balances connections across processes and read
+  throughput scales with cores instead of queueing behind one GIL.
 
 Chaos: when the app carries a :class:`~repro.chaos.ChaosInjector`, the
 handler consults :meth:`~repro.chaos.ChaosInjector.on_http_request`
@@ -237,31 +237,30 @@ def bind_listening_socket(host: str = "127.0.0.1", port: int = 0) -> socket.sock
 
 
 def serve_prefork(
-    archive_dir,
+    app: OperationsApp,
     workers: int,
     host: str = "127.0.0.1",
     port: int = 0,
     duration_s: Optional[float] = None,
-    cache_size: int = 1024,
     ready_callback=None,
     stop_event: Optional[threading.Event] = None,
 ) -> int:
-    """Serve a read-only archive from ``workers`` forked processes.
+    """Serve a read-only app from ``workers`` forked processes.
 
     The parent binds the socket, forks, then sleeps as a babysitter:
     on ``duration_s`` expiry (or SIGINT/SIGTERM) it SIGTERMs the
-    children and reaps them.  Each child builds its own app via
-    :meth:`OperationsApp.from_archive` — the archive arrays are
-    memory-mapped, so the fork copies nothing and the kernel page
-    cache is shared.
+    children and reaps them.  Each child serves the ``app`` it
+    inherited through the fork, so the dataset and rollups the parent
+    built are shared copy-on-write; each child's query cache fills
+    independently from there.
 
     Args:
-        archive_dir: A saved :class:`~repro.telemetry.archive.TelemetryArchive`.
+        app: A read-only app built by the parent
+            (:meth:`OperationsApp.from_database` without ``ingest``).
         workers: Child process count (min 1).
         host/port: Bind address; port 0 picks a free one.
         duration_s: Self-terminate after this long (CI smoke mode);
             ``None`` serves until interrupted.
-        cache_size: Per-worker query-cache capacity.
         ready_callback: Called in the parent with ``(host, port)``
             once children are forked (the load generator hooks this).
         stop_event: Optional externally owned event; setting it winds
@@ -270,10 +269,20 @@ def serve_prefork(
 
     Returns:
         The number of children that exited abnormally.
+
+    Raises:
+        ValueError: if ``app`` has an ingest gateway — a batch posted
+            to one child would land in that child's copy of the
+            database only.
     """
     if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX fallback
         raise RuntimeError(
             "pre-forked serving needs os.fork; use the threaded server"
+        )
+    if app.gateway is not None:
+        raise ValueError(
+            "pre-forked workers serve read-only apps; use the threaded "
+            "server for ingest"
         )
     workers = max(1, int(workers))
     sock = bind_listening_socket(host, port)
@@ -287,9 +296,6 @@ def serve_prefork(
             signal.signal(signal.SIGTERM, lambda *_: os._exit(0))
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             try:
-                app = OperationsApp.from_archive(
-                    archive_dir, cache_size=cache_size
-                )
                 httpd = _WorkerHTTPServer(sock, app)
                 httpd.serve_forever(poll_interval=0.1)
             finally:

@@ -36,7 +36,7 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro import __version__
 from repro.simulation.config import SimulationConfig
@@ -199,77 +199,6 @@ def build_dataset(config: SimulationConfig) -> SimulationResult:
     result = FacilityEngine(config).run()
     _store_to_disk(result, entry)
     return result
-
-
-def result_from_archive(
-    config: SimulationConfig,
-    archive_dir: Union[str, Path],
-    jobs_completed: int = 0,
-    jobs_killed: int = 0,
-) -> SimulationResult:
-    """Reassemble a result from an on-disk telemetry archive.
-
-    The telemetry columns are reopened *memory-mapped*, so a worker
-    process pays no RAM or deserialization cost for channels it never
-    touches; the failure schedule, RAS log, machine, and weather models
-    are regenerated by the (cheap, deterministic) engine constructor.
-    This is the worker-side half of the parallel report's zero-copy
-    fan-out: the parent sends the archive *path*, never the database.
-    """
-    from repro.telemetry.archive import TelemetryArchive
-
-    database = TelemetryArchive.load(archive_dir, mmap=True)
-    engine = FacilityEngine(config)
-    return SimulationResult(
-        config=config,
-        database=database,
-        ras_log=engine.ras_log,
-        schedule=engine.schedule,
-        noncmf_failures=engine.noncmf_failures,
-        machine=engine.machine,
-        weather=engine.weather,
-        jobs_completed=int(jobs_completed),
-        jobs_killed=int(jobs_killed),
-    )
-
-
-def materialize_archive(result: SimulationResult) -> Optional[Path]:
-    """The on-disk archive directory for a result, spilling it if needed.
-
-    Returns the directory whose columns hold exactly
-    ``result.database``'s telemetry, so worker processes can reopen it
-    via :func:`result_from_archive` instead of receiving the pickled
-    database:
-
-    * a database that was itself loaded from an archive answers with
-      its source directory (nothing is written);
-    * an in-memory pristine result is spilled once — into its dataset
-      cache entry when the disk cache is enabled, otherwise into a
-      fresh temporary directory;
-    * faulted results return ``None``: the archive format persists
-      neither quality masks nor fault ground truth, so a round-trip
-      would silently change the analysis inputs.
-    """
-    source = getattr(result.database, "source_dir", None)
-    if source is not None:
-        return Path(source)
-    if result.fault_truth is not None or result.config.faults is not None:
-        return None
-    if _disk_cache_enabled():
-        entry = cache_root() / _config_digest(result.config)
-        if not (entry / _META_FILE).exists():
-            _store_to_disk(result, entry)
-        telemetry = entry / _TELEMETRY_DIR
-        if (entry / _META_FILE).exists() and telemetry.exists():
-            return telemetry
-    # Cache disabled (or unwritable): spill to a session-local temp dir.
-    from repro.telemetry.archive import TelemetryArchive
-
-    try:
-        tmp = Path(tempfile.mkdtemp(prefix="repro-archive-"))
-        return TelemetryArchive.save(result.database, tmp / _TELEMETRY_DIR)
-    except OSError:
-        return None
 
 
 @dataclasses.dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -122,7 +122,7 @@ class TelemetryArchive:
             if values.shape != (num_samples, num_racks):
                 raise ValueError(f"{path.name} does not match the manifest")
             columns[channel] = values
-        return _ArchivedDatabase(epoch, columns, num_racks, source_dir=root)
+        return _ArchivedDatabase(epoch, columns, num_racks)
 
 
 def _validate_channels(root: Path, manifest: dict) -> None:
@@ -156,22 +156,13 @@ def _validate_channels(root: Path, manifest: dict) -> None:
 
 
 class _ArchivedDatabase(EnvironmentalDatabase):
-    """A read-only database view over memory-mapped columns.
-
-    Attributes:
-        source_dir: The archive directory this view was loaded from
-            (``None`` for views constructed directly).  Lets the
-            parallel report fan workers out with the *path* and have
-            each reopen the columns memory-mapped instead of pickling
-            the matrices.
-    """
+    """A read-only database view over memory-mapped columns."""
 
     def __init__(
         self,
         epoch: np.ndarray,
         columns: Dict[Channel, np.ndarray],
         num_racks: int,
-        source_dir: Optional[Path] = None,
     ) -> None:
         # Bypass the parent's buffer allocation entirely.
         self._num_racks = num_racks
@@ -187,7 +178,6 @@ class _ArchivedDatabase(EnvironmentalDatabase):
         self.counters = IngestCounters()
         self._pending = []
         self._watermark = float(epoch[-1]) if self._size else -np.inf
-        self.source_dir = source_dir
 
     def append_snapshot(self, epoch_s, channel_values) -> None:
         raise TypeError("archived databases are read-only")

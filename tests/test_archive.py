@@ -120,8 +120,3 @@ class TestManifestChannelValidation:
         # The dataset cache catches ValueError to rebuild corrupt
         # entries; ArchiveError must ride that path.
         assert issubclass(ArchiveError, ValueError)
-
-    def test_source_dir_recorded(self, demo_result, tmp_path):
-        root = self._saved(demo_result, tmp_path)
-        restored = TelemetryArchive.load(root)
-        assert restored.source_dir == root

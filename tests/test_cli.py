@@ -1,7 +1,12 @@
 """The command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro import __version__
 from repro.cli import main
 
 
@@ -18,6 +23,18 @@ class TestParsing:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
+
+    def test_setup_py_reports_package_version(self):
+        # One source: installed metadata must match ``repro --version``.
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "setup.py", "--version"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.split()[-1] == __version__
 
 
 class TestSimulate:

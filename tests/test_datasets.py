@@ -17,10 +17,9 @@ from repro.simulation.datasets import (
     cache_root,
     canonical_dataset,
     clear_cache,
-    materialize_archive,
-    result_from_archive,
     small_dataset,
 )
+from repro.telemetry.archive import TelemetryArchive
 from repro.telemetry.records import CHANNELS, Channel
 
 
@@ -216,32 +215,14 @@ class TestCacheManagement:
         assert clear_cache() == 0
         assert not any(cache_dir.iterdir())
 
-    def test_materialize_archive_spills_and_reuses(self, cache_dir):
+    def test_archive_roundtrip_is_bit_exact(self, cache_dir, tmp_path):
         result = build_dataset(MiraScenario.demo(days=3, seed=5))
-        archive = materialize_archive(result)
-        assert archive is not None
-        again = materialize_archive(result)
-        assert again == archive
-
-    def test_materialize_archive_refuses_faulted(self, cache_dir):
-        import dataclasses as dc
-
-        from repro.faults import FaultConfig
-
-        config = dc.replace(MiraScenario.demo(days=3, seed=5), faults=FaultConfig())
-        result = FacilityEngine(config).run()
-        assert materialize_archive(result) is None
-
-    def test_archive_roundtrip_is_bit_exact(self, cache_dir):
-        result = build_dataset(MiraScenario.demo(days=3, seed=5))
-        archive = materialize_archive(result)
-        restored = result_from_archive(result.config, archive)
-        assert np.array_equal(
-            restored.database.epoch_s, result.database.epoch_s
-        )
+        archive = TelemetryArchive.save(result.database, tmp_path / "arch")
+        restored = TelemetryArchive.load(archive, mmap=True)
+        assert np.array_equal(restored.epoch_s, result.database.epoch_s)
         for channel in CHANNELS:
             assert np.array_equal(
-                restored.database.channel(channel).values,
+                restored.channel(channel).values,
                 result.database.channel(channel).values,
                 equal_nan=True,
             )

@@ -269,6 +269,36 @@ class TestDispatcherNeverRaises:
         assert counters.server_errors == 0
 
 
+class TestMetricsBlocks:
+    """A ``/metrics`` block that cannot be built says why, not vanish."""
+
+    def test_dataset_block_reports_error(self, monkeypatch):
+        app = OperationsApp.from_database(_database())
+
+        def broken(flush=True):
+            raise OSError("digest unavailable")
+
+        monkeypatch.setattr(app.database, "digest_info", broken)
+        status, payload, _ = app.handle("GET", "/metrics", {})
+        assert status == 200
+        assert payload["dataset"] == {"error": "OSError: digest unavailable"}
+        assert "enabled" in payload["section_cache"]
+
+    def test_section_cache_block_reports_error(self, monkeypatch):
+        import repro.analytics.incremental as incremental
+
+        def broken():
+            raise RuntimeError("store unreadable")
+
+        monkeypatch.setattr(incremental, "default_store", broken)
+        status, payload, _ = OperationsApp.from_database(_database()).handle(
+            "GET", "/metrics", {}
+        )
+        assert status == 200
+        assert payload["section_cache"] == {"error": "RuntimeError: store unreadable"}
+        assert payload["dataset"]["rows"] == NUM_SAMPLES
+
+
 class TestOverSocket:
     """The nastiest cases again, through a real HTTP connection."""
 

@@ -8,8 +8,8 @@ round-trip, so "bit-identical" is literal: the decoded JSON must
 ``==`` the encoded direct answer, element by element.
 
 Also here: the pre-forked multi-worker server smoke test (forked
-workers reopening the archive memory-mapped and answering exactly like
-an in-process engine).
+workers serving the app the parent built over a memory-mapped archive
+and answering exactly like an in-process engine).
 """
 
 from __future__ import annotations
@@ -200,6 +200,7 @@ class TestPreforkServer:
         database = _database()
         archive_dir = tmp_path / "archive"
         TelemetryArchive.save(database, archive_dir)
+        app = OperationsApp.from_database(TelemetryArchive.load(archive_dir))
         engine = QueryEngine(RollupStore.from_database(database))
         queries = _query_mix()
 
@@ -213,7 +214,7 @@ class TestPreforkServer:
 
         babysitter = threading.Thread(
             target=serve_prefork,
-            args=(archive_dir,),
+            args=(app,),
             kwargs={
                 "workers": 2,
                 "duration_s": 60.0,
@@ -257,6 +258,12 @@ class TestPreforkServer:
             stop.set()
         babysitter.join(timeout=20)
         assert not babysitter.is_alive()
+
+    def test_prefork_refuses_ingest_app(self):
+        # Each child would ingest into its own copy of the database.
+        app = OperationsApp.from_database(_database(), ingest=IngestServerConfig())
+        with pytest.raises(ValueError, match="read-only"):
+            serve_prefork(app, workers=2, duration_s=0.0)
 
     def test_bind_listening_socket_picks_free_port(self):
         sock = bind_listening_socket()

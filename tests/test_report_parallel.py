@@ -1,22 +1,29 @@
 """The parallel figure pipeline: full_report fanned over a process pool.
 
 The contract under test is bit-identity: the report assembled from any
-worker count — including the zero-copy archive-path fan-out and the
+worker count — forked workers reading the inherited result, and the
 sharded window synthesis — must equal the serial report row for row.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import multiprocessing
+import tempfile
+import threading
 
+import numpy as np
+import pytest
+
+import repro.parallel
 from repro.core.experiments import (
     FIG12_TITLE,
     FIG13_TITLE,
     SECTION_BUILDERS,
     _chunk_bounds,
-    _result_spec,
     full_report,
 )
+from repro.simulation import FacilityEngine, MiraScenario
+from repro.simulation.datasets import CACHE_DIR_ENV, CACHE_ENV
 from repro.simulation.windows import WindowSynthesizer
 
 
@@ -66,11 +73,9 @@ class TestParallelEqualsSerial:
         parallel = full_report(demo_result, workers=4, synthesize_windows=True)
         _assert_reports_equal(serial, parallel)
 
-    def test_faulted_result_falls_back_inline(self, faulted_result):
-        # Fault-injected runs cannot be archived (quality masks are not
-        # part of the format); the spec must degrade to inline pickling
-        # and the report must still be worker-count invariant.
-        assert _result_spec(faulted_result, workers=4)[0] == "inline"
+    def test_faulted_result_pools(self, faulted_result):
+        # Workers read the result they inherited, quality masks and
+        # fault truth included, so a faulted run pools like any other.
         serial = full_report(faulted_result, workers=1)
         _assert_reports_equal(serial, full_report(faulted_result, workers=4))
 
@@ -85,19 +90,66 @@ class TestParallelEqualsSerial:
         _assert_reports_equal(serial, parallel)
 
 
-class TestResultSpec:
-    def test_single_worker_is_inline(self, demo_result):
-        kind, payload = _result_spec(demo_result, workers=1)
-        assert kind == "inline"
-        assert payload is demo_result
+class TestForkOnly:
+    def test_no_fork_runs_in_process(self, demo_result, monkeypatch):
+        # Without ``fork`` a pool worker would not inherit the result,
+        # so pmap must not build a pool at all.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pmap built a pool without fork")
 
-    def test_pool_gets_archive_path(self, demo_result):
-        # small_dataset is disk-cached, so its telemetry already lives
-        # in an archive directory — the spec carries the path, not the
-        # matrices.
-        spec = _result_spec(demo_result, workers=4)
-        assert spec[0] == "archive"
-        assert isinstance(spec[2], str)
+        serial = full_report(demo_result, workers=1)
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
+        )
+        monkeypatch.setattr(repro.parallel, "ProcessPoolExecutor", no_pool)
+        _assert_reports_equal(serial, full_report(demo_result, workers=2))
+
+
+class TestConcurrentReports:
+    def test_each_caller_pools_its_own_result(self, demo_result, faulted_result):
+        # Workers read one process-wide slot; two threads dispatching
+        # at once (more workers than cores) must not see each other's.
+        results = (demo_result, faulted_result)
+        expected = [full_report(result, workers=1) for result in results]
+        failures = []
+
+        def build(index):
+            try:
+                for _ in range(2):
+                    _assert_reports_equal(
+                        expected[index], full_report(results[index], workers=3)
+                    )
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=build, args=(index,), daemon=True)
+            for index in range(len(results))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+
+class TestNoSideEffects:
+    @pytest.mark.parametrize("dataset_cache", ["0", "1"])
+    def test_pooled_report_writes_nothing(self, tmp_path, monkeypatch, dataset_cache):
+        # No temp archive, no dataset-cache entry, whether or not the
+        # dataset cache is enabled.
+        tmp_dir, cache_dir = tmp_path / "tmp", tmp_path / "cache"
+        tmp_dir.mkdir()
+        cache_dir.mkdir()
+        monkeypatch.setenv("TMPDIR", str(tmp_dir))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        monkeypatch.setenv(CACHE_DIR_ENV, str(cache_dir))
+        monkeypatch.setenv(CACHE_ENV, dataset_cache)
+        result = FacilityEngine(MiraScenario.demo(days=30, seed=3)).run()
+        full_report(result, workers=2, section_cache=False)
+        assert list(tmp_dir.iterdir()) == []
+        assert list(cache_dir.iterdir()) == []
 
 
 class TestChunkBounds:
