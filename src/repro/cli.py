@@ -703,6 +703,12 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             print(f"--ingest-token wants COLLECTOR=TOKEN, got {pair!r}")
             return 1
         tokens[collector] = token
+    if tokens and args.workers > 1:
+        print(
+            "--ingest-token needs --workers 1: pre-forked workers serve "
+            "read-only and accept no ingest"
+        )
+        return 1
 
     if args.archive is not None:
         database = TelemetryArchive.load(args.archive, mmap=True)

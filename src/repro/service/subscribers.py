@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from operator import attrgetter
 from typing import List, Optional
 
 import numpy as np
@@ -84,7 +85,8 @@ class PredictorSubscriber:
         :meth:`~repro.monitoring.online.OnlineCmfPredictor.consume_block`;
         the per-rack predictions are then merged time-major, rack
         ascending, so recorded predictions and downstream alerts do not
-        depend on the chunk size.
+        depend on the chunk size.  Racks are visited in ascending order
+        and the sort is stable, so sorting by epoch alone suffices.
         """
         cube = np.stack(
             [chunk.values[ch] for ch in PREDICTOR_CHANNELS], axis=2
@@ -99,7 +101,7 @@ class PredictorSubscriber:
                     epochs[mask], _RACK_IDS[rack], cube[mask, rack, :]
                 )
             )
-        merged.sort(key=lambda p: (p.epoch_s, p.rack_id.flat_index))
+        merged.sort(key=attrgetter("epoch_s"))
         for prediction in merged:
             self._emit(prediction)
 

@@ -21,7 +21,7 @@ import pytest
 from repro.analytics.incremental import SECTION_CACHE_ENV
 from repro.faults import FaultConfig
 from repro.simulation import FacilityEngine, MiraScenario, WindowSynthesizer
-from repro.simulation.datasets import canonical_dataset, small_dataset
+from repro.simulation.datasets import CACHE_DIR_ENV, canonical_dataset, small_dataset
 from repro.telemetry.quality import scrub_database
 
 
@@ -43,6 +43,24 @@ def _no_ambient_section_cache():
         os.environ.pop(SECTION_CACHE_ENV, None)
     else:
         os.environ[SECTION_CACHE_ENV] = previous
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_ambient_dataset_cache(tmp_path_factory):
+    """Keep dataset-cache entries out of the user's ``~/.cache/repro``.
+
+    The session fixtures below build through the dataset cache; unless
+    ``REPRO_CACHE_DIR`` already names a directory, the suite caches in
+    a session temp directory instead.
+    """
+    import os
+
+    if os.environ.get(CACHE_DIR_ENV):
+        yield
+        return
+    os.environ[CACHE_DIR_ENV] = str(tmp_path_factory.mktemp("repro-cache"))
+    yield
+    os.environ.pop(CACHE_DIR_ENV, None)
 
 
 @pytest.fixture(scope="session")

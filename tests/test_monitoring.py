@@ -184,6 +184,56 @@ class TestOnlinePredictor:
             train_online_predictor(positives, [])
 
 
+class TestChunkSizeEquivalence:
+    """The trained model: blocks of any size == one sample at a time,
+    bit for bit (a block is scored in one ``predict_proba`` call)."""
+
+    _RACK = RackId(1, 4)
+
+    @staticmethod
+    def _stream():
+        """A drifting rack stream with holes, a duplicate, a late
+        arrival and a silence long enough to reset the history."""
+        rng = np.random.default_rng(11)
+        epochs = list(np.arange(400) * 300.0)
+        epochs[150:150] = [epochs[149]]  # duplicate
+        epochs[250:250] = [epochs[249] - 600.0]  # late arrival
+        epochs = np.array(epochs)
+        epochs[300:] += 3 * HOUR  # silence: gap reset
+        base = np.array([_healthy_sample()[ch] for ch in PREDICTOR_CHANNELS])
+        ramp = np.linspace(0.0, 0.2, len(epochs))[:, None] * base
+        values = base + ramp + rng.normal(scale=0.5, size=(len(epochs), len(base)))
+        values[rng.random(values.shape) < 0.03] = np.nan
+        return epochs, values
+
+    def test_chunk_sizes_match_per_sample(self, online_model):
+        epochs, values = self._stream()
+        single = OnlineCmfPredictor(online_model)
+        expected = []
+        for epoch, row in zip(epochs, values):
+            prediction = single.consume(
+                float(epoch), self._RACK, dict(zip(PREDICTOR_CHANNELS, row))
+            )
+            if prediction is not None:
+                expected.append(prediction)
+        counters = single.counters
+        assert counters.dropped_duplicate and counters.dropped_late
+        assert counters.gap_resets and counters.locf_fills
+        assert len({p.probability for p in expected}) > 100
+
+        for size in (7, 50, len(epochs)):
+            chunked = OnlineCmfPredictor(online_model)
+            produced = []
+            for i in range(0, len(epochs), size):
+                produced.extend(
+                    chunked.consume_block(
+                        epochs[i : i + size], self._RACK, values[i : i + size]
+                    )
+                )
+            assert chunked.counters == counters
+            assert produced == expected  # probabilities bit-exact
+
+
 class TestAlertEngine:
     def _prediction(self, epoch, probability, rack=(0, 0)):
         return Prediction(epoch_s=epoch, rack_id=RackId(*rack), probability=probability)
