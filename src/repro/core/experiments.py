@@ -466,8 +466,11 @@ def full_report(
 
     The Fig 12/13 sections are included when windows are given, or
     when ``synthesize_windows`` asks the report to build them itself —
-    in which case the 300 s window synthesis (the dominant serial
-    cost) is sharded across the pool too.
+    in which case the 300 s window synthesis is sharded across the
+    pool too.  Each window reads only the coarse rows its grid spans,
+    so synthesis is a small share of a cold build; Fig 13's
+    cross-validated training is the largest, and its folds get a pool
+    of the requested size whatever the section tasks left to do.
 
     With the section memo store enabled (the default; see
     :mod:`repro.analytics.incremental`), every section is looked up by
@@ -553,14 +556,8 @@ def full_report(
             window_tasks.append(("positives", lo, hi))
         for lo, hi in _chunk_bounds(positives_total, count * 4):
             window_tasks.append(("negatives", positives_total, lo, hi))
-    # Window chunks lead the task list: they are the long poles, so
-    # they should hit the pool first.
     tasks = window_tasks + section_tasks
-    if tasks:
-        count = min(count, len(tasks))
-        outputs = _dispatch(result, tasks, count)
-    else:
-        outputs = []
+    outputs = _dispatch(result, tasks, count) if tasks else []
 
     section_rows = outputs[len(window_tasks):]
     pool_by_name = dict(zip(pool_section_names, section_rows))

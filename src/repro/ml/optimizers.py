@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +56,12 @@ class SGD(Optimizer):
 class Adam(Optimizer):
     """The Adam optimizer (Kingma & Ba, 2015).
 
+    The moments are two flat vectors over every parameter of the
+    network in layer order: each step concatenates the gradients,
+    updates them with one pass of elementwise ufuncs, and subtracts
+    each parameter's slice in place.  Adam is elementwise, so every
+    parameter gets the same bits as when stepped array by array.
+
     Args:
         learning_rate: Step size.
         beta1: First-moment decay.
@@ -78,27 +84,29 @@ class Adam(Optimizer):
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        self._m: Dict[Tuple[int, str], np.ndarray] = {}
-        self._v: Dict[Tuple[int, str], np.ndarray] = {}
+        self._m: Optional[np.ndarray] = None
+        self._v: Optional[np.ndarray] = None
         self._t = 0
 
     def step(self, network: NeuralNetwork) -> None:
         self._t += 1
-        for index, layer in enumerate(network.layers):
-            params = layer.parameters()
-            grads = layer.gradients()
-            for name, param in params.items():
-                grad = grads[name]
-                key = (index, name)
-                m = self._m.get(key)
-                v = self._v.get(key)
-                if m is None:
-                    m = np.zeros_like(param)
-                    v = np.zeros_like(param)
-                m = self.beta1 * m + (1.0 - self.beta1) * grad
-                v = self.beta2 * v + (1.0 - self.beta2) * grad**2
-                self._m[key] = m
-                self._v[key] = v
-                m_hat = m / (1.0 - self.beta1**self._t)
-                v_hat = v / (1.0 - self.beta2**self._t)
-                param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        params: List[np.ndarray] = []
+        grads: List[np.ndarray] = []
+        for layer in network.layers:
+            layer_grads = layer.gradients()
+            for name, param in layer.parameters().items():
+                params.append(param)
+                grads.append(layer_grads[name].ravel())
+        grad = np.concatenate(grads)
+        if self._m is None:
+            self._m = np.zeros_like(grad)
+            self._v = np.zeros_like(grad)
+        self._m = self.beta1 * self._m + (1.0 - self.beta1) * grad
+        self._v = self.beta2 * self._v + (1.0 - self.beta2) * grad**2
+        m_hat = self._m / (1.0 - self.beta1**self._t)
+        v_hat = self._v / (1.0 - self.beta2**self._t)
+        update = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        offset = 0
+        for param in params:
+            param -= update[offset : offset + param.size].reshape(param.shape)
+            offset += param.size

@@ -117,8 +117,14 @@ class WindowSynthesizer:
         #: bulk ``*_windows`` builders use per-index child generators
         #: instead (see the module docstring).
         self._rng = np.random.default_rng(seed)
-        self._db = result.database
-        self._epoch = self._db.epoch_s
+        database = result.database
+        self._epoch = database.epoch_s
+        #: Each predictor channel's (rows, racks) matrix, read once:
+        #: a window interpolates only the few rows its grid can reach.
+        self._matrices = {
+            channel: database.channel(channel).values
+            for channel in PREDICTOR_CHANNELS
+        }
         #: Coarse cadence; the engine marks a rack down in the very
         #: step its CMF fires, so the last clean sample precedes the
         #: event by at least one coarse step.
@@ -140,30 +146,61 @@ class WindowSynthesizer:
         count = int(round(self.history_s / self.dt_s))
         return end_epoch_s - self.dt_s * np.arange(count, -1, -1, dtype="float64")
 
+    def _row_range(
+        self, column: np.ndarray, start_epoch_s: float, cutoff_epoch_s: float
+    ) -> Tuple[int, int]:
+        """The rows ``[lo, hi)`` of ``column`` a window can interpolate from.
+
+        ``hi`` keeps every row at or before ``cutoff_epoch_s`` (no
+        post-failure leakage).  ``lo`` is the last finite row before
+        ``hi`` at or before the grid start, found by walking back over
+        NaN runs in doubling steps; with no such row it is 0, and the
+        first finite row clamps the window's left edge.  Interpolating
+        over the finite rows of ``[lo, hi)`` is exact: ``np.interp``
+        brackets every grid point between the same two samples as in
+        the whole column, and clamps to the same end values.
+        """
+        epoch = self._epoch
+        hi = int(np.searchsorted(epoch, cutoff_epoch_s + 1e-6, side="right"))
+        lo = min(int(np.searchsorted(epoch, start_epoch_s, side="right")), hi)
+        step = 8
+        while lo > 0:
+            start = max(0, lo - step)
+            finite = np.flatnonzero(np.isfinite(column[start:lo]))
+            if finite.size:
+                return start + int(finite[-1]), hi
+            lo = start
+            step *= 2
+        return 0, hi
+
     def _coarse_series(
         self,
         channel: Channel,
         rack_index: int,
         grid: np.ndarray,
         cutoff_epoch_s: float,
-        divide_factor: Optional[np.ndarray] = None,
+        event: Optional[CmfEvent] = None,
     ) -> np.ndarray:
         """Interpolate one rack's coarse channel onto a window grid.
 
         Only coarse samples at or before ``cutoff_epoch_s`` are used
         (no post-failure leakage); beyond the last usable sample the
-        series holds its final value.  ``divide_factor``, if given,
-        divides the usable coarse samples (the counterfactual
-        de-imprinting of the precursor signature).
+        series holds its final value.  With ``event`` given, the usable
+        samples are divided by the precursor factor that event baked
+        into the channel (the counterfactual de-imprinting).
         """
-        column = self._db.channel(channel).values[:, rack_index]
-        usable = np.isfinite(column) & (self._epoch <= cutoff_epoch_s + 1e-6)
+        column = self._matrices[channel][:, rack_index]
+        lo, hi = self._row_range(column, grid[0], cutoff_epoch_s)
+        rows = column[lo:hi]
+        usable = np.isfinite(rows)
         if not usable.any():
             raise ValueError("no usable coarse telemetry before the window end")
-        epochs = self._epoch[usable]
-        values = column[usable]
-        if divide_factor is not None:
-            values = values / divide_factor[usable]
+        epochs = self._epoch[lo:hi][usable]
+        values = rows[usable]
+        if event is not None:
+            factor = self._signature_factor(event, channel, epochs)
+            if factor is not None:
+                values = values / factor
         return np.interp(grid, epochs, values)
 
     def _noisy(
@@ -185,28 +222,31 @@ class WindowSynthesizer:
         """
         return tuple(np.random.SeedSequence(self._seed).spawn(3))
 
-    def _coarse_signature_factors(
-        self, event: CmfEvent
-    ) -> Dict[Channel, np.ndarray]:
-        """The precursor factors the engine baked into the coarse data.
+    @staticmethod
+    def _signature_factor(
+        event: CmfEvent, channel: Channel, epoch_s: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """The precursor factor ``event`` imprints on ``channel``.
 
-        Evaluated at every coarse timestamp for the event's rack; 1.0
-        outside the lead-up window.
+        Evaluated at ``epoch_s`` (1.0 outside the lead-up window);
+        ``None`` for channels the signature leaves alone.  The factors
+        are elementwise in time, so a coarse row gets the same bits
+        whichever timestamps it is evaluated beside.
         """
-        tau = event.epoch_s - self._epoch
-        condensation = event.reason == "condensation_risk"
-        return {
-            Channel.INLET_TEMPERATURE: PrecursorSignature.inlet_factor(
-                tau, event.severity
-            ),
-            Channel.OUTLET_TEMPERATURE: PrecursorSignature.outlet_factor(
-                tau, event.severity
-            ),
-            Channel.FLOW: PrecursorSignature.flow_factor(tau, event.severity),
-            Channel.DC_HUMIDITY: PrecursorSignature.humidity_factor(
-                tau, condensation_triggered=condensation, amplitude=event.severity
-            ),
-        }
+        tau = event.epoch_s - epoch_s
+        if channel is Channel.INLET_TEMPERATURE:
+            return PrecursorSignature.inlet_factor(tau, event.severity)
+        if channel is Channel.OUTLET_TEMPERATURE:
+            return PrecursorSignature.outlet_factor(tau, event.severity)
+        if channel is Channel.FLOW:
+            return PrecursorSignature.flow_factor(tau, event.severity)
+        if channel is Channel.DC_HUMIDITY:
+            return PrecursorSignature.humidity_factor(
+                tau,
+                condensation_triggered=event.reason == "condensation_risk",
+                amplitude=event.severity,
+            )
+        return None
 
     # -- window construction -------------------------------------------------------
 
@@ -223,31 +263,18 @@ class WindowSynthesizer:
         """
         grid = self._grid(event.epoch_s)
         rack = event.rack_id.flat_index
-        tau = event.epoch_s - grid  # time remaining until failure
-        coarse_factors = self._coarse_signature_factors(event)
-        condensation = event.reason == "condensation_risk"
-        fine_factors = {
-            Channel.INLET_TEMPERATURE: PrecursorSignature.inlet_factor(
-                tau, event.severity
-            ),
-            Channel.OUTLET_TEMPERATURE: PrecursorSignature.outlet_factor(
-                tau, event.severity
-            ),
-            Channel.FLOW: PrecursorSignature.flow_factor(tau, event.severity),
-            Channel.DC_HUMIDITY: PrecursorSignature.humidity_factor(
-                tau, condensation_triggered=condensation, amplitude=event.severity
-            ),
-        }
         channels: Dict[Channel, np.ndarray] = {}
         for channel in PREDICTOR_CHANNELS:
-            clean = self._coarse_series(
+            series = self._coarse_series(
                 channel,
                 rack,
                 grid,
                 cutoff_epoch_s=event.epoch_s - self._coarse_dt,
-                divide_factor=coarse_factors.get(channel),
+                event=event,
             )
-            series = clean * fine_factors.get(channel, 1.0)
+            fine_factor = self._signature_factor(event, channel, grid)
+            if fine_factor is not None:
+                series = series * fine_factor
             channels[channel] = self._noisy(channel, series, rng)
         return LeadupWindow(
             rack_id=event.rack_id,

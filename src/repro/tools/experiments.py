@@ -40,9 +40,11 @@ def write_experiments_md(
 ) -> Path:
     """Build the full report and write the markdown file.
 
-    The figure sections and the 300 s window synthesis fan out over a
-    process pool (see :func:`repro.core.experiments.full_report`); the
-    file is byte-identical at any worker count.
+    The figure sections, the 300 s window synthesis and Fig 13's
+    cross-validation folds fan out over a process pool (see
+    :func:`repro.core.experiments.full_report`); the folds' training
+    is the largest cost.  The file is byte-identical at any worker
+    count.
     """
     from repro.core.experiments import full_report, render_markdown
     from repro.simulation.datasets import canonical_dataset

@@ -60,6 +60,59 @@ class TestOptimizers:
             SGD(0.1, momentum=1.0)
 
 
+class _PerArrayAdam:
+    """Adam stepped one parameter array at a time, with moments keyed
+    by ``(layer, name)``."""
+
+    def __init__(self, learning_rate=0.01, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self._m = {}
+        self._v = {}
+        self._t = 0
+
+    def step(self, network):
+        self._t += 1
+        for index, layer in enumerate(network.layers):
+            grads = layer.gradients()
+            for name, param in layer.parameters().items():
+                grad = grads[name]
+                key = (index, name)
+                m = self._m.get(key, np.zeros_like(param))
+                v = self._v.get(key, np.zeros_like(param))
+                m = self.beta1 * m + (1.0 - self.beta1) * grad
+                v = self.beta2 * v + (1.0 - self.beta2) * grad**2
+                self._m[key] = m
+                self._v[key] = v
+                m_hat = m / (1.0 - self.beta1**self._t)
+                v_hat = v / (1.0 - self.beta2**self._t)
+                param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+
+
+class TestFlatAdam:
+    def test_matches_per_array_adam_bit_for_bit(self):
+        # The paper's 18-(12,12,6)-1 predictor shape, 50 epochs.
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((578, 18))
+        y = (x[:, 0] + 0.5 * x[:, 3] + 0.3 * rng.standard_normal(578) > 0).astype(int)
+        results = []
+        for optimizer in (Adam(), _PerArrayAdam()):
+            net = NeuralNetwork.mlp(18, (12, 12, 6), rng=np.random.default_rng(7))
+            results.append(
+                train_classifier(
+                    net, x, y, config=TrainConfig(epochs=50), optimizer=optimizer,
+                    rng=np.random.default_rng(9),
+                )
+            )
+        flat, per_array = results
+        assert flat.train_losses == per_array.train_losses
+        for a, b in zip(flat.network.layers, per_array.network.layers):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.biases.tobytes() == b.biases.tobytes()
+
+
 class TestTraining:
     def test_xor_needs_and_uses_hidden_layer(self):
         x, y = _xor()

@@ -14,7 +14,9 @@ import threading
 import numpy as np
 import pytest
 
+import repro.core.experiments
 import repro.parallel
+from repro.analytics.incremental import SectionMemoStore
 from repro.core.experiments import (
     FIG12_TITLE,
     FIG13_TITLE,
@@ -88,6 +90,29 @@ class TestParallelEqualsSerial:
         serial = full_report(year_result, positives, negatives, workers=1)
         parallel = full_report(year_result, positives, negatives, workers=2)
         _assert_reports_equal(serial, parallel)
+
+
+class TestFig13Workers:
+    def test_fig13_gets_the_requested_workers(
+        self, tmp_path, monkeypatch, demo_result, year_windows
+    ):
+        # Fig 13's fold pool is sized by the caller's request, not by
+        # how many section tasks were left after the memo lookups.
+        received = []
+
+        def recording_fig13(positives, negatives, workers=None):
+            received.append(workers)
+            return []
+
+        monkeypatch.setattr(repro.core.experiments, "fig13_rows", recording_fig13)
+        positives, negatives = year_windows
+        store = SectionMemoStore(root=tmp_path, enabled=True)
+        full_report(demo_result, positives, negatives, workers=2, section_cache=store)
+        # Every section memoized but one: a single section task remains.
+        for entry in tmp_path.glob("fig10_11_rows-*.rows.pkl"):
+            entry.unlink()
+        full_report(demo_result, positives, negatives, workers=2, section_cache=store)
+        assert received == [2, 2]
 
 
 class TestForkOnly:
