@@ -5,10 +5,11 @@ six-year realization twice — ``workers=1`` (everything in-process)
 against the process pool.  Pool workers are forked children that read
 the result from the memory they inherited; only task tuples and the
 finished rows or windows cross the process boundary.  The window
-synthesis for Figs 12/13 is sharded across the pool and Fig 13's
-cross-validation folds fan out over it, and the two reports are
-asserted identical row for row, so the speedup is never bought with a
-numerics change.
+synthesis for Figs 12/13 is sharded across the pool, and Fig 13's
+cross-validation folds train in lockstep groups, one pool task per
+group of folds that share a batch schedule (on the canonical study,
+two groups: 12 folds and 3).  The two reports are asserted identical
+row for row, so the speedup is never bought with a numerics change.
 
 Both passes run with the section memo store disabled — this benchmark
 measures raw pipeline throughput, and a cache hit would reduce it to

@@ -468,9 +468,11 @@ def full_report(
     when ``synthesize_windows`` asks the report to build them itself —
     in which case the 300 s window synthesis is sharded across the
     pool too.  Each window reads only the coarse rows its grid spans,
-    so synthesis is a small share of a cold build; Fig 13's
-    cross-validated training is the largest, and its folds get a pool
-    of the requested size whatever the section tasks left to do.
+    so synthesis is a small share of a cold build.  Fig 13's folds
+    train in lockstep groups, one pool task per group of folds that
+    share a batch schedule (see
+    :func:`repro.core.prediction.sweep_leads`), on a pool of the
+    requested size whatever the section tasks left to do.
 
     With the section memo store enabled (the default; see
     :mod:`repro.analytics.incremental`), every section is looked up by

@@ -21,19 +21,22 @@ The paper's pipeline, end to end:
 Since model retraining is a recurring production workload in
 operational-data-analytics deployments, the pipeline is built for
 throughput: features for *all* windows and *all* leads come out of
-one columnar interpolation pass (:func:`batch_change_features`), and
-the outer loops — cross-validation folds, the lead sweep, the
-Bayesian-optimization initial design — fan out over a process pool
-via :mod:`repro.parallel`.  :func:`window_features` remains as the
-per-window reference implementation; the batch path matches it to
-float precision, and results are bit-identical between ``workers=1``
-and ``workers>1`` because every task reseeds from the same constants.
+one columnar interpolation pass (:func:`batch_change_features`); the
+lead sweep's cross-validation folds train in lockstep groups, one
+stacked minibatch step for every fold that shares a batch schedule;
+and the groups and the Bayesian-optimization initial design fan out
+over a process pool via :mod:`repro.parallel`.
+:func:`window_features` remains as the per-window reference
+implementation; the batch path matches it to float precision, and
+results are bit-identical between ``workers=1`` and ``workers>1``
+because every task reseeds from the same constants.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +45,12 @@ from repro.ml.bayesopt import BayesianOptimizer
 from repro.ml.crossval import CrossValidationResult, stratified_k_fold
 from repro.ml.metrics import BinaryClassificationReport, evaluate_binary
 from repro.ml.network import NeuralNetwork
-from repro.ml.train import TrainConfig, three_way_split, train_classifier
+from repro.ml.train import (
+    TrainConfig,
+    three_way_split,
+    train_classifier,
+    train_classifiers,
+)
 from repro.parallel import pmap
 from repro.simulation.windows import LeadupWindow
 from repro.telemetry.records import PREDICTOR_CHANNELS, Channel
@@ -398,37 +406,30 @@ class PredictorEvaluation:
         return self.cross_validation.summary()
 
 
-def _nn_fit_predict(
-    hidden: Sequence[int],
-    epochs: int,
-    seed: int,
-) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    def fit_predict(
-        x_train: np.ndarray, y_train: np.ndarray, x_test: np.ndarray
-    ) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        network = NeuralNetwork.mlp(x_train.shape[1], tuple(hidden), rng=rng)
-        result = train_classifier(
-            network,
-            x_train,
-            y_train,
-            config=TrainConfig(epochs=epochs),
-            rng=rng,
-        )
-        return result.predict(x_test)
+def _group_task(payload: tuple) -> List[BinaryClassificationReport]:
+    """Train and score one lockstep group of (lead, fold) cells — the
+    pool work unit.
 
-    return fit_predict
-
-
-def _fold_task(payload: tuple) -> BinaryClassificationReport:
-    """Train and score one (lead, fold) cell — the pool work unit.
-
-    The training RNG reseeds from the payload constants, so the report
-    depends only on the payload, never on worker identity or order.
+    Every cell of the group shares the initial weights and batch order
+    a lone cell would draw from ``default_rng(seed)``, so the group
+    builds the network once, copies it per cell and trains the copies
+    as one stack.  The reports depend only on the payload, never on
+    worker identity or order.
     """
-    hidden, epochs, seed, x_train, y_train, x_test, y_test = payload
-    predict = _nn_fit_predict(hidden, epochs, seed)
-    return evaluate_binary(y_test, predict(x_train, y_train, x_test))
+    hidden, epochs, seed, cells = payload
+    rng = np.random.default_rng(seed)
+    network = NeuralNetwork.mlp(cells[0][0].shape[1], hidden, rng=rng)
+    results = train_classifiers(
+        [copy.deepcopy(network) for _ in cells],
+        [x_train for x_train, _, _, _ in cells],
+        [y_train for _, y_train, _, _ in cells],
+        config=TrainConfig(epochs=epochs),
+        rng=rng,
+    )
+    return [
+        evaluate_binary(y_test, result.predict(x_test))
+        for result, (_, _, x_test, y_test) in zip(results, cells)
+    ]
 
 
 def sweep_leads(
@@ -445,11 +446,17 @@ def sweep_leads(
 ) -> List[PredictorEvaluation]:
     """Sweep prediction leads and cross-validate at each (Fig 13).
 
-    Features for all leads come from one batch-extraction pass; the
-    ``len(leads_h) * folds`` train/score cells then fan out over a
-    process pool.  Fold assignment happens up front in the parent with
-    an explicit per-lead generator, and each cell reseeds from
-    ``seed``, so results are bit-identical for any worker count.
+    Features for all leads come from one batch-extraction pass, and
+    fold assignment happens up front with an explicit per-lead
+    generator.  Each of the ``len(leads_h) * folds`` train/score cells
+    would train a network built from ``default_rng(seed)`` and shuffle
+    with the same generator, so cells whose training sets have the same
+    width and row count share their initial weights and batch order.
+    Those cells form one lockstep group, trained as one stack (see
+    :func:`~repro.ml.train.train_classifiers`), which gives every cell
+    the same bits as training it alone; each group is one task on the
+    process pool.  Groups depend only on the data, never on the worker
+    count, so results are bit-identical for any worker count.
 
     Args:
         workers: Process-pool size (None = ``REPRO_WORKERS`` or all
@@ -463,34 +470,38 @@ def sweep_leads(
         drop_nonfinite=drop_nonfinite,
     )
     hidden = tuple(int(h) for h in hidden)
-    tasks = []
+    # (lead index, fold index) cells keyed by what fixes their initial
+    # weights and batch order; hidden sizes, epochs and seed are the
+    # same for every cell of one sweep.
+    groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    cells = {}
     fold_counts = []
-    for dataset in datasets:
+    for lead, dataset in enumerate(datasets):
         assignments = stratified_k_fold(
             dataset.labels, folds, np.random.default_rng(seed)
         )
         fold_counts.append(len(assignments))
         x = np.asarray(dataset.features, dtype="float64")
         y = dataset.labels
-        for train_idx, test_idx in assignments:
-            tasks.append(
-                (hidden, epochs, seed, x[train_idx], y[train_idx],
-                 x[test_idx], y[test_idx])
-            )
-    reports = pmap(_fold_task, tasks, workers=workers)
-    evaluations = []
-    offset = 0
-    for dataset, count in zip(datasets, fold_counts):
-        evaluations.append(
-            PredictorEvaluation(
-                lead_h=dataset.lead_h,
-                cross_validation=CrossValidationResult(
-                    fold_reports=tuple(reports[offset : offset + count])
-                ),
-            )
+        for fold, (train_idx, test_idx) in enumerate(assignments):
+            cells[lead, fold] = (x[train_idx], y[train_idx], x[test_idx], y[test_idx])
+            groups.setdefault((x.shape[1], len(train_idx)), []).append((lead, fold))
+    members = list(groups.values())
+    tasks = [
+        (hidden, epochs, seed, [cells[cell] for cell in group]) for group in members
+    ]
+    reports = {}
+    for group, group_reports in zip(members, pmap(_group_task, tasks, workers=workers)):
+        reports.update(zip(group, group_reports))
+    return [
+        PredictorEvaluation(
+            lead_h=dataset.lead_h,
+            cross_validation=CrossValidationResult(
+                fold_reports=tuple(reports[lead, fold] for fold in range(count))
+            ),
         )
-        offset += count
-    return evaluations
+        for lead, (dataset, count) in enumerate(zip(datasets, fold_counts))
+    ]
 
 
 def default_architecture_grid() -> List[Tuple[int, int, int]]:

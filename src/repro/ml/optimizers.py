@@ -1,21 +1,26 @@
-"""Gradient-descent optimizers."""
+"""Gradient-descent optimizers.
+
+An optimizer steps one flat parameter array from the matching gradient
+array, in place.  Every update is elementwise, so a stack of models
+laid out as ``(G, P)`` rows (see :class:`repro.ml.network.NetworkStack`)
+is stepped in one pass, and each parameter gets the same bits as when
+its model is stepped alone.
+"""
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.ml.network import NeuralNetwork
-
 
 class Optimizer(abc.ABC):
-    """Updates network parameters in place from layer gradients."""
+    """Updates a flat parameter array in place from its gradients."""
 
     @abc.abstractmethod
-    def step(self, network: NeuralNetwork) -> None:
-        """Apply one update using the gradients stored on each layer."""
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Apply one update to ``params`` from ``grads`` (same shape)."""
 
 
 class SGD(Optimizer):
@@ -33,34 +38,20 @@ class SGD(Optimizer):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.learning_rate = learning_rate
         self.momentum = momentum
-        self._velocity: Dict[Tuple[int, str], np.ndarray] = {}
+        self._velocity: Optional[np.ndarray] = None
 
-    def step(self, network: NeuralNetwork) -> None:
-        for index, layer in enumerate(network.layers):
-            params = layer.parameters()
-            grads = layer.gradients()
-            for name, param in params.items():
-                grad = grads[name]
-                if self.momentum > 0.0:
-                    key = (index, name)
-                    velocity = self._velocity.get(key)
-                    if velocity is None:
-                        velocity = np.zeros_like(param)
-                    velocity = self.momentum * velocity - self.learning_rate * grad
-                    self._velocity[key] = velocity
-                    param += velocity
-                else:
-                    param -= self.learning_rate * grad
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        if self.momentum > 0.0:
+            if self._velocity is None:
+                self._velocity = np.zeros_like(params)
+            self._velocity = self.momentum * self._velocity - self.learning_rate * grads
+            params += self._velocity
+        else:
+            params -= self.learning_rate * grads
 
 
 class Adam(Optimizer):
     """The Adam optimizer (Kingma & Ba, 2015).
-
-    The moments are two flat vectors over every parameter of the
-    network in layer order: each step concatenates the gradients,
-    updates them with one pass of elementwise ufuncs, and subtracts
-    each parameter's slice in place.  Adam is elementwise, so every
-    parameter gets the same bits as when stepped array by array.
 
     Args:
         learning_rate: Step size.
@@ -88,25 +79,13 @@ class Adam(Optimizer):
         self._v: Optional[np.ndarray] = None
         self._t = 0
 
-    def step(self, network: NeuralNetwork) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self._t += 1
-        params: List[np.ndarray] = []
-        grads: List[np.ndarray] = []
-        for layer in network.layers:
-            layer_grads = layer.gradients()
-            for name, param in layer.parameters().items():
-                params.append(param)
-                grads.append(layer_grads[name].ravel())
-        grad = np.concatenate(grads)
         if self._m is None:
-            self._m = np.zeros_like(grad)
-            self._v = np.zeros_like(grad)
-        self._m = self.beta1 * self._m + (1.0 - self.beta1) * grad
-        self._v = self.beta2 * self._v + (1.0 - self.beta2) * grad**2
+            self._m = np.zeros_like(grads)
+            self._v = np.zeros_like(grads)
+        self._m = self.beta1 * self._m + (1.0 - self.beta1) * grads
+        self._v = self.beta2 * self._v + (1.0 - self.beta2) * grads**2
         m_hat = self._m / (1.0 - self.beta1**self._t)
         v_hat = self._v / (1.0 - self.beta2**self._t)
-        update = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-        offset = 0
-        for param in params:
-            param -= update[offset : offset + param.size].reshape(param.shape)
-            offset += param.size
+        params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)

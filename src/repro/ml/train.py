@@ -3,19 +3,21 @@
 The paper trains for 50 epochs on data split 3:1:1 into training,
 testing, and validation sets; :func:`three_way_split` reproduces that
 split (stratified so both classes appear in every part) and
-:func:`train_classifier` runs minibatch gradient descent with
-per-epoch loss tracking.
+:func:`train_classifiers` runs minibatch gradient descent with
+per-epoch loss tracking for a stack of same-architecture models that
+share one batch schedule (:func:`train_classifier` is the stack of
+one).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.ml.losses import BinaryCrossEntropy, Loss
-from repro.ml.network import NeuralNetwork
+from repro.ml.network import NetworkStack, NeuralNetwork
 from repro.ml.optimizers import Adam, Optimizer
 from repro.parallel import require_generator
 
@@ -126,6 +128,8 @@ def train_classifier(
 ) -> TrainResult:
     """Train a binary classifier with minibatch gradient descent.
 
+    The stack of one of :func:`train_classifiers`.
+
     Args:
         network: The (freshly initialized) model; trained in place.
         x_train: Training features ``(n, d)``.
@@ -141,24 +145,86 @@ def train_classifier(
         The trained model wrapped with its feature scaler and the loss
         history.
     """
+    validate = x_val is not None and y_val is not None
+    return train_classifiers(
+        [network],
+        [x_train],
+        [y_train],
+        config=config,
+        optimizer=optimizer,
+        loss=loss,
+        rng=rng,
+        x_val=[x_val] if validate else None,
+        y_val=[y_val] if validate else None,
+    )[0]
+
+
+def train_classifiers(
+    networks: Sequence[NeuralNetwork],
+    x_train: Sequence[np.ndarray],
+    y_train: Sequence[np.ndarray],
+    config: Optional[TrainConfig] = None,
+    optimizer: Optional[Optimizer] = None,
+    loss: Optional[Loss] = None,
+    rng: Optional[np.random.Generator] = None,
+    x_val: Optional[Sequence[np.ndarray]] = None,
+    y_val: Optional[Sequence[np.ndarray]] = None,
+) -> List[TrainResult]:
+    """Train ``G`` same-architecture classifiers in lockstep.
+
+    The models share one batch schedule: every epoch's visit order is
+    drawn once from ``rng`` (``rng.permutation(n)``, the stream a lone
+    model would draw), and each minibatch is one stacked forward,
+    backward and optimizer step over all ``G`` models (see
+    :class:`~repro.ml.network.NetworkStack`).  Each model gets the same
+    bits as when trained alone with a generator in the same state,
+    including its feature scaler and loss histories.
+
+    Args:
+        networks: The models, same architecture; trained in place.
+        x_train: One ``(n, d)`` feature matrix per model, the same ``n``.
+        y_train: One binary label vector ``(n,)`` per model.
+        config: Epochs/batching (paper: 50 epochs).
+        optimizer: One optimizer for the whole stack; defaults to Adam.
+        loss: Defaults to binary cross-entropy.
+        rng: Shuffling randomness, shared by the stack.
+        x_val / y_val: Optional per-model validation sets for per-epoch
+            loss tracking, scored by inference.
+
+    Returns:
+        One :class:`TrainResult` per model, in order.
+
+    Raises:
+        ValueError: on mismatched lengths, or training sets of
+            different sizes.
+    """
     cfg = config if config is not None else TrainConfig()
     opt = optimizer if optimizer is not None else Adam()
     criterion = loss if loss is not None else BinaryCrossEntropy()
     rng = rng if rng is not None else np.random.default_rng(0)
+    if not len(networks) == len(x_train) == len(y_train):
+        raise ValueError("one training set per network is required")
+    stack = NetworkStack(networks)
 
-    x = np.asarray(x_train, dtype="float64")
-    y = np.asarray(y_train, dtype="float64").reshape(-1, 1)
-    if x.shape[0] != y.shape[0]:
+    xs = [np.asarray(x, dtype="float64") for x in x_train]
+    ys = [np.asarray(y, dtype="float64").reshape(-1, 1) for y in y_train]
+    if any(x.shape[0] != y.shape[0] for x, y in zip(xs, ys)):
         raise ValueError("features and labels length mismatch")
-    scaler = FeatureScaler.fit(x) if cfg.standardize else None
-    if scaler is not None:
-        x = scaler.transform(x)
-        if x_val is not None:
-            x_val = scaler.transform(x_val)
+    if len({x.shape[0] for x in xs}) > 1:
+        raise ValueError("stacked training sets must have the same row count")
+    validate = x_val is not None and y_val is not None
+    x_vals = list(x_val) if validate else []
+    scalers = [FeatureScaler.fit(x) if cfg.standardize else None for x in xs]
+    if cfg.standardize:
+        xs = [scaler.transform(x) for scaler, x in zip(scalers, xs)]
+        x_vals = [scaler.transform(x) for scaler, x in zip(scalers, x_vals)]
+    y_vals = [np.asarray(y).reshape(-1, 1) for y in y_val] if validate else []
+    x = np.stack(xs)
+    y = np.stack(ys)
 
-    train_losses: List[float] = []
-    val_losses: List[float] = []
-    n = x.shape[0]
+    train_losses: List[np.ndarray] = []
+    val_losses: List[List[float]] = [[] for _ in networks]
+    n = x.shape[1]
     # Preshuffled epoch index matrix: every epoch's visit order is drawn
     # up front (same generator stream as per-epoch shuffles), so the
     # inner loop is pure slicing.
@@ -172,24 +238,29 @@ def train_classifier(
     batches = max(1, len(batch_starts))
     for epoch in range(cfg.epochs):
         order = orders[epoch]
-        epoch_loss = 0.0
+        epoch_loss = np.zeros(len(networks))
         for start in batch_starts:
             batch = order[start : start + cfg.batch_size]
-            x_batch = x[batch]
-            y_batch = y[batch]
-            predicted = network.forward(x_batch, train=True)
-            epoch_loss += criterion.value(predicted, y_batch)
-            network.backward(criterion.gradient(predicted, y_batch))
-            opt.step(network)
+            x_batch = x[:, batch]
+            y_batch = y[:, batch]
+            predicted = stack.forward(x_batch)
+            epoch_loss += criterion.stack_values(predicted, y_batch)
+            stack.backward(criterion.stack_gradient(predicted, y_batch))
+            opt.step(stack.params, stack.grads)
         train_losses.append(epoch_loss / batches)
-        if x_val is not None and y_val is not None:
-            predicted = network.forward(x_val, train=False)
-            val_losses.append(
-                criterion.value(predicted, np.asarray(y_val).reshape(-1, 1))
-            )
-    return TrainResult(
-        network=network,
-        scaler=scaler,
-        train_losses=train_losses,
-        validation_losses=val_losses,
-    )
+        if validate:
+            stack.store()
+            for network, features, labels, history in zip(
+                networks, x_vals, y_vals, val_losses
+            ):
+                history.append(criterion.value(network.forward(features), labels))
+    stack.store()
+    return [
+        TrainResult(
+            network=network,
+            scaler=scaler,
+            train_losses=[float(losses[g]) for losses in train_losses],
+            validation_losses=val_losses[g],
+        )
+        for g, (network, scaler) in enumerate(zip(networks, scalers))
+    ]

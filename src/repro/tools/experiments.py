@@ -41,10 +41,9 @@ def write_experiments_md(
     """Build the full report and write the markdown file.
 
     The figure sections, the 300 s window synthesis and Fig 13's
-    cross-validation folds fan out over a process pool (see
-    :func:`repro.core.experiments.full_report`); the folds' training
-    is the largest cost.  The file is byte-identical at any worker
-    count.
+    lockstep fold groups fan out over a process pool (see
+    :func:`repro.core.experiments.full_report`).  The file is
+    byte-identical at any worker count.
     """
     from repro.core.experiments import full_report, render_markdown
     from repro.simulation.datasets import canonical_dataset

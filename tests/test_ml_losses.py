@@ -68,3 +68,27 @@ class TestMeanSquaredError:
             bumped[i] += eps
             numeric = (loss.value(bumped, y) - loss.value(p, y)) / eps
             assert grad[i] == pytest.approx(numeric, rel=1e-4)
+
+
+class TestStackedLoss:
+    """Each model's mean in a ``(G, n, 1)`` stack has the bits of the
+    2-D batch mean alone (the lockstep trainer relies on it)."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 32, 578])
+    def test_stack_matches_each_batch_alone(self, rows):
+        rng = np.random.default_rng(rows)
+        p = rng.uniform(0.0, 1.0, size=(5, rows, 1))
+        y = rng.integers(0, 2, size=(5, rows, 1)).astype(float)
+        bce, mse = BinaryCrossEntropy(), MeanSquaredError()
+        bce_values = bce.stack_values(p, y)
+        mse_values = mse.stack_values(p, y)
+        bce_grads = bce.stack_gradient(p, y)
+        mse_grads = mse.stack_gradient(p, y)
+        for g in range(5):
+            q = np.clip(p[g], 1e-9, 1.0 - 1e-9)
+            alone = -np.mean(y[g] * np.log(q) + (1.0 - y[g]) * np.log(1.0 - q))
+            assert bce_values[g].tobytes() == alone.tobytes()
+            assert bce.value(p[g], y[g]) == float(alone)
+            assert np.array_equal(bce_grads[g], (q - y[g]) / (q * (1.0 - q)) / q.size)
+            assert mse_values[g] == np.mean((p[g] - y[g]) ** 2)
+            assert np.array_equal(mse_grads[g], 2.0 * (p[g] - y[g]) / p[g].size)

@@ -6,7 +6,7 @@ import pytest
 from repro.ml.activations import relu, sigmoid, tanh
 from repro.ml.layers import Dense
 from repro.ml.losses import BinaryCrossEntropy
-from repro.ml.network import NeuralNetwork
+from repro.ml.network import NetworkStack, NeuralNetwork
 
 
 class TestDense:
@@ -20,21 +20,9 @@ class TestDense:
         with pytest.raises(ValueError):
             layer.forward(np.ones((5, 6)))
 
-    def test_backward_before_forward_rejected(self):
-        layer = Dense(4, 3)
-        with pytest.raises(RuntimeError):
-            layer.backward(np.ones((5, 3)))
-
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
             Dense(0, 3)
-
-    def test_parameters_and_gradients_aligned(self):
-        layer = Dense(4, 3)
-        params = layer.parameters()
-        grads = layer.gradients()
-        for name in params:
-            assert params[name].shape == grads[name].shape
 
 
 class TestNetworkConstruction:
@@ -94,60 +82,114 @@ class TestInference:
             assert np.array_equal(split, batched)
 
     def test_train_forward_matches_inference(self):
-        """The training path (BLAS) differs from inference by rounding only."""
-        net = NeuralNetwork.mlp(18, (12, 12, 6), rng=np.random.default_rng(5))
-        x = np.random.default_rng(6).standard_normal((100, 18))
-        np.testing.assert_allclose(
-            net.forward(x, train=True), net.forward(x), rtol=1e-12, atol=1e-15
-        )
+        """The stacked training forward (BLAS) differs from each model's
+        inference by rounding only."""
+        nets = [
+            NeuralNetwork.mlp(18, (12, 12, 6), rng=np.random.default_rng(seed))
+            for seed in (5, 6, 7)
+        ]
+        x = np.random.default_rng(6).standard_normal((3, 100, 18))
+        stacked = NetworkStack(nets).forward(x)
+        for net, batch, out in zip(nets, x, stacked):
+            np.testing.assert_allclose(out, net.forward(batch), rtol=1e-12, atol=1e-15)
+
+
+class TestNetworkStack:
+    def test_views_lay_out_each_model_in_layer_order(self):
+        nets = [NeuralNetwork.mlp(4, (3,), rng=np.random.default_rng(g)) for g in range(2)]
+        stack = NetworkStack(nets)
+        assert stack.params.shape == stack.grads.shape == (2, nets[0].parameter_count())
+        for g, net in enumerate(nets):
+            flat = np.concatenate(
+                [a.ravel() for layer in net.layers for a in (layer.weights, layer.biases)]
+            )
+            assert np.array_equal(stack.params[g], flat)
+        views = [v for pair in zip(stack.weights, stack.biases) for v in pair]
+        grad_views = [v for pair in zip(stack.grad_weights, stack.grad_biases) for v in pair]
+        for view, grad_view in zip(views, grad_views):
+            assert np.shares_memory(view, stack.params)
+            assert np.shares_memory(grad_view, stack.grads)
+            assert view.shape == grad_view.shape
+
+    def test_store_copies_back_per_model(self):
+        nets = [NeuralNetwork.mlp(4, (3,), rng=np.random.default_rng(g)) for g in range(2)]
+        stack = NetworkStack(nets)
+        stack.params[1] += 1.0
+        before = nets[0].layers[0].weights.copy()
+        stack.store()
+        assert np.array_equal(nets[0].layers[0].weights, before)
+        assert np.array_equal(nets[1].layers[1].biases, stack.biases[1][1, 0])
+        assert np.array_equal(nets[1].layers[1].biases, np.ones(1))
+
+    def test_mismatched_architectures_rejected(self):
+        with pytest.raises(ValueError):
+            NetworkStack([NeuralNetwork.mlp(4, (3,)), NeuralNetwork.mlp(4, (2,))])
+        with pytest.raises(ValueError):
+            NetworkStack([
+                NeuralNetwork.mlp(4, (3,)),
+                NeuralNetwork.mlp(4, (3,), hidden_activation=tanh),
+            ])
+        with pytest.raises(ValueError):
+            NetworkStack([])
+
+
+def _stacked_gradients(nets, x, y, loss):
+    """Backpropagate each model's own batch through one stack."""
+    stack = NetworkStack(nets)
+    predicted = stack.forward(x)
+    stack.backward(loss.stack_gradient(predicted, y))
+    return stack
 
 
 class TestGradients:
     @pytest.mark.parametrize("hidden_activation", [relu, tanh])
     def test_full_network_gradient_check(self, hidden_activation):
-        """Backprop gradients must match central finite differences."""
+        """Stacked backprop gradients must match each model's central
+        finite differences."""
         rng = np.random.default_rng(3)
-        net = NeuralNetwork.mlp(
-            5, (7, 4), hidden_activation=hidden_activation, rng=rng
-        )
+        nets = [
+            NeuralNetwork.mlp(5, (7, 4), hidden_activation=hidden_activation, rng=rng)
+            for _ in range(3)
+        ]
         loss = BinaryCrossEntropy()
-        x = rng.standard_normal((8, 5))
-        y = rng.integers(0, 2, size=(8, 1)).astype(float)
-
-        predicted = net.forward(x, train=True)
-        net.backward(loss.gradient(predicted, y))
+        x = rng.standard_normal((3, 8, 5))
+        y = rng.integers(0, 2, size=(3, 8, 1)).astype(float)
+        stack = _stacked_gradients(nets, x, y, loss)
 
         eps = 1e-6
-        for layer in net.layers:
-            weights = layer.weights
-            grad = layer.grad_weights
-            # Spot-check a handful of entries per layer.
-            indices = [(0, 0), (weights.shape[0] - 1, weights.shape[1] - 1)]
-            for i, j in indices:
-                original = weights[i, j]
-                weights[i, j] = original + eps
-                plus = loss.value(net.forward(x), y)
-                weights[i, j] = original - eps
-                minus = loss.value(net.forward(x), y)
-                weights[i, j] = original
-                numeric = (plus - minus) / (2 * eps)
-                assert grad[i, j] == pytest.approx(numeric, rel=2e-3, abs=1e-7)
+        for g, net in enumerate(nets):
+            for index, layer in enumerate(net.layers):
+                weights = layer.weights
+                grad = stack.grad_weights[index][g]
+                # Spot-check a handful of entries per layer.
+                indices = [(0, 0), (weights.shape[0] - 1, weights.shape[1] - 1)]
+                for i, j in indices:
+                    original = weights[i, j]
+                    weights[i, j] = original + eps
+                    plus = loss.value(net.forward(x[g]), y[g])
+                    weights[i, j] = original - eps
+                    minus = loss.value(net.forward(x[g]), y[g])
+                    weights[i, j] = original
+                    numeric = (plus - minus) / (2 * eps)
+                    assert grad[i, j] == pytest.approx(numeric, rel=2e-3, abs=1e-7)
 
     def test_bias_gradient_check(self):
         rng = np.random.default_rng(4)
-        net = NeuralNetwork.mlp(3, (5,), rng=rng)
+        nets = [NeuralNetwork.mlp(3, (5,), rng=rng) for _ in range(2)]
         loss = BinaryCrossEntropy()
-        x = rng.standard_normal((6, 3))
-        y = rng.integers(0, 2, size=(6, 1)).astype(float)
-        predicted = net.forward(x, train=True)
-        net.backward(loss.gradient(predicted, y))
-        layer = net.layers[0]
+        x = rng.standard_normal((2, 6, 3))
+        y = rng.integers(0, 2, size=(2, 6, 1)).astype(float)
+        stack = _stacked_gradients(nets, x, y, loss)
         eps = 1e-6
-        original = layer.biases[2]
-        layer.biases[2] = original + eps
-        plus = loss.value(net.forward(x), y)
-        layer.biases[2] = original - eps
-        minus = loss.value(net.forward(x), y)
-        layer.biases[2] = original
-        numeric = (plus - minus) / (2 * eps)
-        assert layer.grad_biases[2] == pytest.approx(numeric, rel=2e-3, abs=1e-7)
+        for g, net in enumerate(nets):
+            layer = net.layers[0]
+            original = layer.biases[2]
+            layer.biases[2] = original + eps
+            plus = loss.value(net.forward(x[g]), y[g])
+            layer.biases[2] = original - eps
+            minus = loss.value(net.forward(x[g]), y[g])
+            layer.biases[2] = original
+            numeric = (plus - minus) / (2 * eps)
+            assert stack.grad_biases[0][g, 0, 2] == pytest.approx(
+                numeric, rel=2e-3, abs=1e-7
+            )

@@ -24,8 +24,10 @@ from repro.core.prediction import (
     window_level_features,
 )
 from repro.facility.topology import RackId
-from repro.ml.crossval import stratified_k_fold
-from repro.ml.train import three_way_split
+from repro.ml.crossval import CrossValidationResult, stratified_k_fold
+from repro.ml.metrics import evaluate_binary
+from repro.ml.network import NeuralNetwork
+from repro.ml.train import TrainConfig, three_way_split, train_classifier
 from repro.simulation.windows import LeadupWindow
 from repro.telemetry.records import PREDICTOR_CHANNELS
 
@@ -217,14 +219,21 @@ class TestWorkerDeterminism:
         assert serial == parallel
 
     def test_evaluation_matches_legacy_serial_protocol(self, windows):
-        """The fan-out reproduces cross_validate's fold protocol exactly."""
-        from repro.core.prediction import _nn_fit_predict
+        """The sweep reproduces cross_validate's fold protocol exactly."""
         from repro.ml.crossval import cross_validate
+
+        def fit_predict(x_train, y_train, x_test):
+            rng = np.random.default_rng(11)
+            network = NeuralNetwork.mlp(x_train.shape[1], (8, 6, 4), rng=rng)
+            result = train_classifier(
+                network, x_train, y_train, config=TrainConfig(epochs=6), rng=rng
+            )
+            return result.predict(x_test)
 
         positives, negatives = windows
         dataset = build_dataset(positives, negatives, 1.0)
         legacy = cross_validate(
-            _nn_fit_predict((8, 6, 4), 6, 11),
+            fit_predict,
             dataset.features,
             dataset.labels,
             k=3,
@@ -241,3 +250,36 @@ class TestWorkerDeterminism:
             workers=1,
         )
         assert swept[0].cross_validation == legacy
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lockstep_groups_match_per_fold_training(self, workers):
+        """Folds of unequal size form several lockstep groups; every
+        (lead, fold) cell still equals training it alone."""
+        positives, negatives = synthetic_windows(23, 22, seed=3)
+        leads, hidden, epochs, folds, seed = (3.0, 1.0, 0.5), (8, 6, 4), 6, 3, 11
+        expected = []
+        sizes = set()
+        for dataset in build_datasets(positives, negatives, leads):
+            reports = []
+            x, y = dataset.features, dataset.labels
+            for train_idx, test_idx in stratified_k_fold(
+                y, folds, np.random.default_rng(seed)
+            ):
+                sizes.add(len(train_idx))
+                rng = np.random.default_rng(seed)
+                network = NeuralNetwork.mlp(x.shape[1], hidden, rng=rng)
+                result = train_classifier(
+                    network, x[train_idx], y[train_idx],
+                    config=TrainConfig(epochs=epochs), rng=rng,
+                )
+                reports.append(
+                    evaluate_binary(y[test_idx], result.predict(x[test_idx]))
+                )
+            expected.append(CrossValidationResult(fold_reports=tuple(reports)))
+        assert len(sizes) >= 2
+        swept = sweep_leads(
+            positives, negatives, leads_h=leads, hidden=hidden, epochs=epochs,
+            folds=folds, seed=seed, workers=workers,
+        )
+        assert [e.lead_h for e in swept] == list(leads)
+        assert [e.cross_validation for e in swept] == expected
