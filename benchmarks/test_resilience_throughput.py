@@ -130,7 +130,7 @@ def test_resilience_throughput():
         # while recovery is being timed.
         records, _, torn = WriteAheadLog.scan(durability.wal_path)
         assert not torn
-        assert sum(r.num_samples for r in records) == database.num_samples
+        assert sum(len(r) for r in records) == database.num_samples
         del records
         assert recovery.wal_samples == database.num_samples
         assert recovery.component("rollups").samples_replayed == database.num_samples

@@ -14,11 +14,11 @@ keyed by ``(root_digest, section_id, config_digest, code_epoch)``:
 * ``code_epoch`` — the package version, so a release never serves
   rows computed by older analysis code.
 
-Durability follows the PR 7 dataset-manifest idiom: every file is a
-sha256-prefixed pickle written to a temp name and published with
-``os.replace``; a load that fails verification quarantines the file
-aside (``.quarantine-*``) and reports a miss, so corruption costs a
-recompute, never a silently wrong report.  Set
+Every file is a :mod:`repro.blobfile` blob, the codec the service's
+WAL and snapshots share: a CRC32-framed pickle published by rename.
+A load that fails verification moves the file aside, counts it as
+``corrupt`` and reports a miss, so corruption costs a recompute,
+never a silently wrong report.  Set
 ``REPRO_SECTION_CACHE=0`` to disable the layer entirely.
 """
 
@@ -27,19 +27,18 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import pickle
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro import __version__
+from repro import __version__, blobfile
 
 #: Environment variable: set to ``0`` to disable the section memo store.
 SECTION_CACHE_ENV = "REPRO_SECTION_CACHE"
 
-#: File magic; bump to orphan every existing entry on a format change.
-_MAGIC = b"repro-section-memo-v1"
+#: File magic; bump on a format change (each old entry is then
+#: quarantined once, counted as corrupt, and recomputed).
+_MAGIC = b"repro-section-memo-v2"
 
 #: Sentinel root for sections whose inputs carry no telemetry at all
 #: (e.g. the RAS-log-only aftermath section): their rows survive an
@@ -109,7 +108,8 @@ class SectionCacheCounters:
     state_misses: int = 0
     #: Stored entries rejected: stale prefix, key mismatch, or corrupt.
     invalidations: int = 0
-    #: Files that failed sha256/unpickle verification and were quarantined.
+    #: Files that failed verification (magic, length, CRC32 or unpickle)
+    #: and were quarantined.
     corrupt: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -180,59 +180,22 @@ class SectionMemoStore:
 
     # -- verified file I/O ----------------------------------------------------
 
-    def _quarantine(self, path: Path) -> None:
-        """Move a failed-verification file aside (best effort)."""
-        target = path.parent / f".quarantine-{path.name}-{os.getpid()}"
-        try:
-            os.replace(path, target)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self.counters.corrupt += 1
-
     def _read(self, path: Path) -> Optional[Dict[str, Any]]:
-        """Load and verify one entry; quarantine and miss on any defect."""
+        """Load one verified entry; ``None`` on a miss (a corrupt file
+        is quarantined by the codec and counted here)."""
         try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return None
+            return blobfile.read(path, _MAGIC)
         except OSError:
             return None
-        try:
-            magic, digest_hex, payload = raw.split(b"\n", 2)
-            if magic != _MAGIC:
-                raise ValueError("bad magic")
-            if hashlib.sha256(payload).hexdigest() != digest_hex.decode("ascii"):
-                raise ValueError("payload digest mismatch")
-            record = pickle.loads(payload)
-            if not isinstance(record, dict):
-                raise ValueError("unexpected record type")
-            return record
-        except Exception:
-            self._quarantine(path)
+        except blobfile.CorruptBlob:
+            self.counters.corrupt += 1
             return None
 
     def _write(self, path: Path, record: Dict[str, Any]) -> bool:
         """Atomically publish one entry (best effort; False on failure)."""
-        payload = pickle.dumps(record, protocol=4)
-        blob = b"\n".join(
-            (_MAGIC, hashlib.sha256(payload).hexdigest().encode("ascii"), payload)
-        )
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(tmp, path)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                return False
+            blobfile.write(path, _MAGIC, record)
         except OSError:
             return False
         return True
@@ -378,7 +341,7 @@ class SectionMemoStore:
             if not path.is_file():
                 continue
             is_entry = not path.name.startswith(".") and path.suffix == ".pkl"
-            stale = path.name.startswith((".tmp-", ".quarantine-"))
+            stale = path.name.startswith(blobfile.STALE_PREFIXES)
             if is_entry or stale:
                 try:
                     path.unlink()

@@ -20,7 +20,7 @@ it, and an aggregated store answering dashboard queries.
   per-subscriber wrappers: crash isolation, bounded-backoff restarts,
   hang watchdog with policy degradation, source-replay gap repair,
 * :mod:`repro.service.durability` — :class:`WriteAheadLog` +
-  :class:`SnapshotStore`, the crash-safe persistence behind
+  :class:`SnapshotStore`, the kill-safe persistence behind
   :meth:`LiveOperationsService.recover`,
 * :mod:`repro.service.live` — :class:`LiveOperationsService`, the
   assembled bus -> rollups -> query-engine stack with supervision,

@@ -1,16 +1,16 @@
-"""Crash durability for the live service: write-ahead log + snapshots.
+"""Process-kill durability for the live service: WAL + snapshots.
 
 The bus is a replay of a database the service does not own, so
 durability here is not about the *data* — it is about the *derived
 state* (rollup buckets, predictor history, CUSUM statistics, alert
 streaks) that PR 3/6 rebuilt from scratch on every restart.  Two
-pieces make that state crash-safe:
+pieces let that state survive a killed process:
 
 * A chunk-granular :class:`WriteAheadLog` appended on the publisher
   thread *before* any subscriber queue sees the chunk (the bus's
   ``on_publish`` hook), so every chunk a subscriber could have
-  consumed is on disk first.  Records are CRC-framed pickles of the
-  chunk's columns keyed by the bus sequence numbers; a torn tail
+  consumed has reached the OS first.  Records are pickles of the
+  chunk's columns in :mod:`repro.blobfile` frames; a torn tail
   (process died mid-write) is detected and truncated, never treated
   as corruption of the preceding records.
 * Per-component :class:`SnapshotStore` snapshots taken on the
@@ -29,21 +29,20 @@ snapshot's ack are skipped, never re-applied.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import os
 import pickle
-import struct
-import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro import blobfile
 from repro.service.bus import BusChunk
 
 __all__ = [
     "DurabilityConfig",
-    "WalRecord",
     "WriteAheadLog",
     "SnapshotStore",
     "RecoveryError",
@@ -51,11 +50,11 @@ __all__ = [
     "RecoveryReport",
 ]
 
-#: File magic; bump when the frame layout changes.
+#: WAL file magic; bump when the record layout changes.
 WAL_MAGIC = b"RWAL1\n"
 
-#: Frame header: little-endian payload length + CRC32 of the payload.
-_FRAME = struct.Struct("<II")
+#: Snapshot file magic; bump when the snapshot record changes.
+SNAPSHOT_MAGIC = b"repro-snapshot-v1"
 
 
 class RecoveryError(RuntimeError):
@@ -99,36 +98,8 @@ class DurabilityConfig:
         return self.root / "wal.bin"
 
 
-@dataclasses.dataclass(frozen=True)
-class WalRecord:
-    """One logged bus chunk, reconstructable as a :class:`BusChunk`."""
-
-    seq: int
-    start_seq: int
-    epoch_s: np.ndarray
-    values: Dict[str, np.ndarray]
-    quality: Dict[str, np.ndarray]
-
-    @property
-    def end_seq(self) -> int:
-        return self.start_seq + len(self.epoch_s) - 1
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.epoch_s)
-
-    def chunk(self) -> BusChunk:
-        return BusChunk(
-            seq=self.seq,
-            start_seq=self.start_seq,
-            epoch_s=self.epoch_s,
-            values=self.values,
-            quality=self.quality,
-        )
-
-
 def _encode(chunk: BusChunk) -> bytes:
-    payload = pickle.dumps(
+    return pickle.dumps(
         {
             "seq": int(chunk.seq),
             "start_seq": int(chunk.start_seq),
@@ -138,22 +109,10 @@ def _encode(chunk: BusChunk) -> bytes:
         },
         protocol=pickle.HIGHEST_PROTOCOL,
     )
-    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
-
-
-def _decode(payload: bytes) -> WalRecord:
-    raw = pickle.loads(payload)
-    return WalRecord(
-        seq=int(raw["seq"]),
-        start_seq=int(raw["start_seq"]),
-        epoch_s=raw["epoch_s"],
-        values=raw["values"],
-        quality=raw["quality"],
-    )
 
 
 class WriteAheadLog:
-    """Append-only chunk log with CRC framing and torn-tail recovery.
+    """Append-only chunk log with framed records and torn-tail recovery.
 
     The log is continuous across recoveries: opening in ``resume``
     mode truncates a torn tail (an append interrupted by the injected
@@ -182,7 +141,9 @@ class WriteAheadLog:
 
     def append(self, chunk: BusChunk) -> None:
         """Log one chunk; flushed to the OS before returning."""
-        self._handle.write(_encode(chunk))
+        payload = _encode(chunk)
+        self._handle.write(blobfile.frame(payload))
+        self._handle.write(payload)
         self._flush()
         self.appended += 1
 
@@ -201,32 +162,27 @@ class WriteAheadLog:
         return self._handle.closed
 
     @staticmethod
-    def scan(path: "str | Path") -> Tuple[List[WalRecord], int, bool]:
-        """Read every valid record.
+    def scan(path: "str | Path") -> Tuple[List[BusChunk], int, bool]:
+        """Read every valid record back as the chunk it logged.
 
-        Returns ``(records, valid_bytes, torn)`` where ``valid_bytes``
+        Returns ``(chunks, valid_bytes, torn)`` where ``valid_bytes``
         is the prefix length covered by intact frames and ``torn`` is
         True when trailing bytes exist past it (an interrupted
         append).  A bad magic raises :class:`RecoveryError`; a torn
         tail does not — it is the expected signature of a kill.
         """
-        path = Path(path)
-        data = path.read_bytes()
-        if not data.startswith(WAL_MAGIC):
+        data = memoryview(Path(path).read_bytes())
+        if data[: len(WAL_MAGIC)] != WAL_MAGIC:
             raise RecoveryError(f"{path} is not a write-ahead log (bad magic)")
-        records: List[WalRecord] = []
+        chunks: List[BusChunk] = []
         offset = len(WAL_MAGIC)
         while True:
-            header = data[offset : offset + _FRAME.size]
-            if len(header) < _FRAME.size:
+            payload = blobfile.read_frame(data, offset)
+            if payload is None:
                 break
-            length, crc = _FRAME.unpack(header)
-            payload = data[offset + _FRAME.size : offset + _FRAME.size + length]
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                break
-            records.append(_decode(payload))
-            offset += _FRAME.size + length
-        return records, offset, offset < len(data)
+            chunks.append(BusChunk(**pickle.loads(payload)))
+            offset += blobfile.HEADER.size + len(payload)
+        return chunks, offset, offset < len(data)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -239,13 +195,13 @@ class Snapshot:
 
 
 class SnapshotStore:
-    """Atomic per-component snapshot files under the durability root.
+    """Per-component :mod:`repro.blobfile` snapshots under the root.
 
-    ``save`` writes to a temp file and :func:`os.replace`\\ s it into
-    place, so a kill mid-snapshot leaves the previous snapshot (or
-    none) intact; ``load`` treats a corrupt or truncated file as "no
-    snapshot" rather than failing recovery — the WAL replays from the
-    stream start instead.
+    ``save`` publishes by rename, so a kill mid-snapshot leaves the
+    previous snapshot (or none) intact.  ``load`` answers "no snapshot"
+    for a missing file and for one that fails verification; the latter
+    is quarantined and counted per component in :attr:`quarantined`,
+    and recovery replays that component's WAL from the stream start.
     """
 
     _SUFFIX = ".snapshot.pkl"
@@ -253,44 +209,23 @@ class SnapshotStore:
     def __init__(self, directory: "str | Path") -> None:
         self.root = Path(directory)
         self.root.mkdir(parents=True, exist_ok=True)
+        self.quarantined: "collections.Counter[str]" = collections.Counter()
 
     def _path(self, component: str) -> Path:
         return self.root / f"{component}{self._SUFFIX}"
 
     def save(self, component: str, acked_seq: int, state: object) -> None:
-        target = self._path(component)
-        tmp = target.with_suffix(target.suffix + ".tmp")
-        payload = pickle.dumps(
-            {"component": component, "acked_seq": int(acked_seq), "state": state},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        framed = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
-        with open(tmp, "wb") as handle:
-            handle.write(framed)
-            handle.flush()
-        os.replace(tmp, target)
+        snapshot = Snapshot(component, int(acked_seq), state)
+        blobfile.write(self._path(component), SNAPSHOT_MAGIC, snapshot)
 
     def load(self, component: str) -> Optional[Snapshot]:
-        path = self._path(component)
         try:
-            data = path.read_bytes()
-        except OSError:
+            return blobfile.read(self._path(component), SNAPSHOT_MAGIC)
+        except FileNotFoundError:
             return None
-        if len(data) < _FRAME.size:
+        except blobfile.CorruptBlob:
+            self.quarantined[component] += 1
             return None
-        length, crc = _FRAME.unpack(data[: _FRAME.size])
-        payload = data[_FRAME.size : _FRAME.size + length]
-        if len(payload) < length or zlib.crc32(payload) != crc:
-            return None
-        try:
-            raw = pickle.loads(payload)
-        except Exception:
-            return None
-        return Snapshot(
-            component=str(raw["component"]),
-            acked_seq=int(raw["acked_seq"]),
-            state=raw["state"],
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -302,6 +237,8 @@ class ComponentRecovery:
     records_skipped: int
     records_replayed: int
     samples_replayed: int
+    #: Its snapshot failed verification, so it replayed the whole WAL.
+    snapshot_quarantined: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -323,10 +260,11 @@ class RecoveryReport:
 
 def replay_component(
     component: str,
-    records: List[WalRecord],
+    records: List[BusChunk],
     acked_seq: int,
     apply,
     snapshot_seq: Optional[int] = None,
+    snapshot_quarantined: bool = False,
 ) -> ComponentRecovery:
     """Replay WAL ``records`` past ``acked_seq`` through ``apply``.
 
@@ -342,35 +280,33 @@ def replay_component(
     replayed = 0
     samples = 0
     expected = acked_seq + 1
-    for record in records:
-        if record.end_seq <= acked_seq:
+    for chunk in records:
+        if chunk.end_seq <= acked_seq:
             skipped += 1
             continue
-        chunk = record.chunk()
-        if record.start_seq <= acked_seq:
-            offset = acked_seq + 1 - record.start_seq
-            chunk = BusChunk(
-                seq=record.seq,
+        if chunk.start_seq <= acked_seq:
+            offset = acked_seq + 1 - chunk.start_seq
+            chunk = dataclasses.replace(
+                chunk,
                 start_seq=acked_seq + 1,
-                epoch_s=record.epoch_s[offset:],
-                values={ch: block[offset:] for ch, block in record.values.items()},
-                quality={
-                    ch: block[offset:] for ch, block in record.quality.items()
-                },
+                epoch_s=chunk.epoch_s[offset:],
+                values={ch: block[offset:] for ch, block in chunk.values.items()},
+                quality={ch: block[offset:] for ch, block in chunk.quality.items()},
             )
-        elif record.start_seq != expected:
+        elif chunk.start_seq != expected:
             raise RecoveryError(
                 f"WAL gap replaying {component!r}: expected record starting at "
-                f"seq {expected}, found [{record.start_seq}, {record.end_seq}]"
+                f"seq {expected}, found [{chunk.start_seq}, {chunk.end_seq}]"
             )
         apply(chunk)
         replayed += 1
         samples += len(chunk)
-        expected = record.end_seq + 1
+        expected = chunk.end_seq + 1
     return ComponentRecovery(
         component=component,
         snapshot_seq=snapshot_seq,
         records_skipped=skipped,
         records_replayed=replayed,
         samples_replayed=samples,
+        snapshot_quarantined=snapshot_quarantined,
     )

@@ -363,7 +363,9 @@ class LiveOperationsService:
         uninterrupted run would have them at the log's end.  The
         returned service's bus resumes the source stream at the first
         unlogged sample with the original sequence numbering;
-        :meth:`run` then finishes the replay.
+        :meth:`run` then finishes the replay.  A snapshot that fails
+        verification is quarantined, its component replays the whole
+        log, and the report flags it (``snapshot_quarantined``).
 
         Raises:
             ValueError: when ``config.durability`` is unset.
@@ -391,15 +393,16 @@ class LiveOperationsService:
             else:
                 acked = wal_start - 1
                 snapshot_seq = None
+            quarantined = name in snapshots.quarantined
             recovered.append(
                 replay_component(
-                    name, records, acked, consumer, snapshot_seq=snapshot_seq
+                    name, records, acked, consumer, snapshot_seq, quarantined
                 )
             )
         resume_seq = records[-1].end_seq + 1 if records else 0
         service.recovery = RecoveryReport(
             wal_records=len(records),
-            wal_samples=sum(r.num_samples for r in records),
+            wal_samples=sum(len(r) for r in records),
             wal_torn_tail=torn,
             resume_seq=resume_seq,
             components=tuple(recovered),

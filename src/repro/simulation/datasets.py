@@ -20,10 +20,10 @@ constructor.  Set ``REPRO_DATASET_CACHE=0`` to disable the disk layer.
 
 Entries carry a per-file SHA-256 manifest written at store time and
 verified at load time: a flipped bit or truncated column (the cache
-lives for months on scratch filesystems) quarantines the entry aside
-and the dataset is rematerialized from the simulation — corruption
-costs a rebuild, never a silently wrong analysis.  Entries written by
-older versions (no manifest) still load, unverified.
+lives for months on scratch filesystems), or a missing manifest,
+quarantines the entry aside (:func:`repro.blobfile.quarantine`) and
+the dataset is rematerialized from the simulation — corruption costs
+a rebuild, never a silently wrong analysis.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro import __version__
+from repro import __version__, blobfile
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import FacilityEngine, SimulationResult
 from repro.simulation.scenarios import MiraScenario
@@ -92,28 +92,13 @@ def _manifest(entry: Path) -> Dict[str, str]:
     }
 
 
-def _quarantine(entry: Path) -> None:
-    """Move a failed-verification entry aside (best effort).
-
-    Renaming (rather than deleting) keeps the corrupt bytes around for
-    a post-mortem while immediately freeing the entry path so the next
-    :func:`build_dataset` call rematerializes into a clean directory;
-    ``clear_cache`` sweeps quarantined entries away.
-    """
-    target = entry.parent / f".quarantine-{entry.name}-{os.getpid()}"
-    try:
-        os.replace(entry, target)
-    except OSError:
-        shutil.rmtree(entry, ignore_errors=True)
-
-
 def _load_from_disk(
     config: SimulationConfig, entry: Path
 ) -> Optional[SimulationResult]:
     """Reassemble a cached result, or ``None`` if absent/corrupt.
 
-    A corrupt entry — checksum mismatch against the stored manifest,
-    unreadable metadata, or an archive that fails to open — is
+    A corrupt entry — a missing manifest or a checksum mismatch against
+    it, unreadable metadata, or an archive that fails to open — is
     quarantined before returning ``None``, so the caller's rebuild
     cannot collide with the bad directory.
     """
@@ -125,13 +110,11 @@ def _load_from_disk(
         return None
     try:
         meta = json.loads(meta_path.read_text())
-        expected = meta.get("files")
-        if expected is not None and _manifest(entry) != expected:
-            _quarantine(entry)
-            return None
+        if meta["files"] != _manifest(entry):
+            raise ValueError("manifest mismatch")
         database = TelemetryArchive.load(entry / _TELEMETRY_DIR)
     except (OSError, ValueError, KeyError):
-        _quarantine(entry)
+        blobfile.quarantine(entry)
         return None
     # The engine constructor is deterministic and cheap relative to a
     # run: it regenerates the failure schedule, RAS log, machine, and
@@ -161,7 +144,7 @@ def _store_to_disk(result: SimulationResult, entry: Path) -> None:
 
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
-        tmp = Path(tempfile.mkdtemp(dir=entry.parent, prefix=".tmp-"))
+        tmp = Path(tempfile.mkdtemp(dir=entry.parent, prefix=blobfile.TEMP_PREFIX))
     except OSError:
         return
     try:
@@ -259,7 +242,7 @@ def clear_cache() -> int:
     for child in root.iterdir():
         if not child.is_dir():
             continue
-        stale = child.name.startswith((".tmp-", ".quarantine-"))
+        stale = child.name.startswith(blobfile.STALE_PREFIXES)
         is_entry = not stale and (child / _META_FILE).is_file()
         if is_entry or stale:
             shutil.rmtree(child, ignore_errors=True)

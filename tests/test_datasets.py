@@ -142,21 +142,33 @@ class TestDiskCache:
                 equal_nan=True,
             )
 
-    def test_legacy_entry_without_manifest_still_loads(
+    def test_entry_without_manifest_quarantined_and_rebuilt(
         self, cache_dir, tiny_config
     ):
+        """An unverifiable entry is never served: it is moved aside once
+        and the rebuild is bit-identical."""
         first = build_dataset(tiny_config)
         entry = cache_dir / _config_digest(tiny_config)
         meta = json.loads((entry / "result.json").read_text())
-        del meta["files"]  # what a pre-1.5 release wrote
+        del meta["files"]
         (entry / "result.json").write_text(json.dumps(meta))
         second = build_dataset(tiny_config)
-        assert not any(
-            c.name.startswith(".quarantine-") for c in cache_dir.iterdir()
-        )
-        assert np.array_equal(
-            second.database.epoch_s, first.database.epoch_s
-        )
+        quarantined = [
+            c for c in cache_dir.iterdir() if c.name.startswith(".quarantine-")
+        ]
+        assert len(quarantined) == 1
+        assert "files" in json.loads((entry / "result.json").read_text())
+        build_dataset(tiny_config)  # the rebuilt entry verifies
+        assert len(
+            [c for c in cache_dir.iterdir() if c.name.startswith(".quarantine-")]
+        ) == 1
+        assert np.array_equal(second.database.epoch_s, first.database.epoch_s)
+        for channel in CHANNELS:
+            assert np.array_equal(
+                second.database.channel(channel).values,
+                first.database.channel(channel).values,
+                equal_nan=True,
+            )
 
     def test_digest_separates_configs_and_versions(self, tiny_config, monkeypatch):
         other = MiraScenario.demo(days=3, seed=6)

@@ -121,7 +121,7 @@ class TestWriteAheadLog:
         assert [r.start_seq for r in records] == [0, 8, 16]
         assert [r.end_seq for r in records] == [7, 15, 18]
         for record, chunk in zip(records, chunks):
-            _assert_chunks_equal(record.chunk(), chunk)
+            _assert_chunks_equal(record, chunk)
 
     def test_torn_tail_detected_and_truncated_on_resume(self, tmp_path):
         path = tmp_path / "wal.bin"
@@ -167,10 +167,16 @@ class TestSnapshotStore:
     def test_missing_and_corrupt_load_as_none(self, tmp_path):
         store = SnapshotStore(tmp_path)
         assert store.load("rollups") is None
+        assert not store.quarantined  # a missing snapshot is not corrupt
         store.save("rollups", 7, {"x": 1})
         path = tmp_path / "rollups.snapshot.pkl"
         path.write_bytes(path.read_bytes()[:-5])  # truncated mid-payload
         assert store.load("rollups") is None
+        assert store.quarantined == {"rollups": 1}
+        assert not path.exists()
+        quarantined = [p.name for p in tmp_path.iterdir()]
+        assert len(quarantined) == 1
+        assert quarantined[0].startswith(".quarantine-rollups.snapshot.pkl-")
 
 
 class TestReplayComponent:
@@ -406,6 +412,51 @@ class TestRecoveryEquivalence:
         assert recovered.recovery.resume_seq <= kill_seq
         report = recovered.run()
         assert report.recovery is recovered.recovery
+        _assert_equivalent(expected, recovered)
+
+    def test_corrupt_snapshot_quarantined_and_replayed(
+        self, stream_result, tmp_path
+    ):
+        """A snapshot that fails verification costs a full WAL replay
+        for its component only, and the report says why."""
+        # One-chunk queues keep every consumer within two chunks of the
+        # publisher, so each has snapshotted by the mid-stream kill.
+        config = ServiceConfig(
+            chunk_size=16, analytics_policy="block", queue_capacity=1
+        )
+        expected = _baseline(stream_result, config)
+        state = tmp_path / "state"
+        durable = dataclasses.replace(
+            config,
+            durability=DurabilityConfig(directory=state, snapshot_every_samples=64),
+        )
+        doomed = LiveOperationsService(
+            stream_result.database,
+            model=_StubModel(),
+            cusum=True,
+            config=durable,
+            chaos=ChaosInjector(
+                ChaosConfig(kill_at_seq=stream_result.database.num_samples // 2)
+            ),
+        )
+        with pytest.raises(ChaosProcessKill):
+            doomed.run()
+        doomed.abort()
+        snapshot = state / "rollups.snapshot.pkl"
+        snapshot.write_bytes(snapshot.read_bytes()[:-5])
+
+        recovered = LiveOperationsService.recover(
+            stream_result.database, model=_StubModel(), cusum=True, config=durable
+        )
+        flagged = {
+            c.component for c in recovered.recovery.components if c.snapshot_quarantined
+        }
+        assert flagged == {"rollups"}
+        rollups = recovered.recovery.component("rollups")
+        assert rollups.snapshot_seq is None and rollups.records_skipped == 0
+        assert recovered.recovery.component("cusum").snapshot_seq is not None
+        assert any(p.name.startswith(".quarantine-") for p in state.iterdir())
+        recovered.run()
         _assert_equivalent(expected, recovered)
 
     def test_double_kill_still_recovers(self, stream_result, tmp_path):

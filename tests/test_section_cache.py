@@ -1,8 +1,9 @@
 """The on-disk section memo store: durability and key hygiene.
 
 Correctness here is what lets :func:`repro.core.experiments.full_report`
-trust a cache hit: every entry is sha256-verified on load, corruption
-is quarantined (a recompute, never a wrong table), and the cache key
+trust a cache hit: every entry is a CRC32-framed ``repro.blobfile``
+blob verified on load, corruption is quarantined (a recompute, never
+a wrong table), and the cache key
 covers exactly the inputs that determine the rows — dataset content,
 section, config, code epoch — and nothing else.
 """
