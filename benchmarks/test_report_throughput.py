@@ -1,23 +1,21 @@
-"""Full-report throughput: the parallel figure pipeline vs serial.
+"""Full-report throughput: one worker against the default worker count.
 
 Times :func:`repro.core.experiments.full_report` over the canonical
-six-year realization twice — ``workers=1`` (everything in-process)
-against the process pool.  Pool workers are forked children that read
-the result from the memory they inherited; only task tuples and the
-finished rows or windows cross the process boundary.  The window
-synthesis for Figs 12/13 is sharded across the pool, and Fig 13's
-cross-validation folds train in lockstep groups, one pool task per
-group of folds that share a batch schedule (on the canonical study,
-two groups: 12 folds and 3).  The two reports are asserted identical
-row for row, so the speedup is never bought with a numerics change.
+six-year realization twice — ``workers=1`` against the default worker
+count.  Every section, and the 300 s window synthesis for Figs 12/13,
+is built in-process either way; the worker count sizes only Fig 13's
+fold pool, where the cross-validation folds train in lockstep groups,
+one pool task per group of folds that share a batch schedule (on the
+canonical study, two groups: 12 folds and 3).  The two reports are
+asserted identical row for row, so a worker count never changes a
+number.
 
 Both passes run with the section memo store disabled — this benchmark
 measures raw pipeline throughput, and a cache hit would reduce it to
 timing disk reads.  The cache regimes (cold / warm / append-delta) are
 measured separately and recorded alongside.  The JSON records
-``cpu_count``, and the speedup gate applies only at four-plus cores
-(``parallel_gated`` says which applied), while the warm-cache numbers
-show where rebuild time actually goes.
+``cpu_count``.  No timing here is gated: the end-to-end report
+benchmark is perfbench's ``report`` workload.
 
 Results are written to ``BENCH_report.json`` at the repo root so CI
 can surface regressions.
@@ -39,11 +37,6 @@ from repro.parallel import resolve_workers
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _OUTPUT = _REPO_ROOT / "BENCH_report.json"
-
-#: Minimum parallel-over-serial report speedup, enforced only when the
-#: machine has at least this many cores.
-MIN_REPORT_SPEEDUP = 2.0
-REPORT_GATE_CORES = 4
 
 
 def _rows_equal(a, b):
@@ -76,7 +69,7 @@ def test_report_throughput(canonical, tmp_path):
     )
     parallel_s = time.perf_counter() - start
 
-    # Identity first: the parallel report must be the serial report.
+    # The report must not depend on the worker count.
     assert list(serial) == list(parallel)
     for title in serial:
         assert len(serial[title]) == len(parallel[title]), title
@@ -86,7 +79,6 @@ def test_report_throughput(canonical, tmp_path):
     cache_passes = measure_cache_passes(canonical, tmp_path)
 
     total_rows = sum(len(rows) for rows in serial.values())
-    parallel_gated = (os.cpu_count() or 1) >= REPORT_GATE_CORES
     report = {
         "version": __version__,
         "python": platform.python_version(),
@@ -97,7 +89,6 @@ def test_report_throughput(canonical, tmp_path):
         "serial_seconds": round(serial_s, 4),
         "parallel_seconds": round(parallel_s, 4),
         "speedup": round(serial_s / parallel_s, 2),
-        "parallel_gated": parallel_gated,
         "cache_cold_seconds": cache_passes["cold_seconds"],
         "cache_warm_seconds": cache_passes["warm_seconds"],
         "cache_append_delta_seconds": cache_passes["append_delta_seconds"],
@@ -109,15 +100,9 @@ def test_report_throughput(canonical, tmp_path):
     print(
         f"\nfull report ({len(serial)} sections, {total_rows} rows):"
         f" serial {serial_s:.2f}s vs {pool_workers} workers"
-        f" {parallel_s:.2f}s -> {report['speedup']:.2f}x"
-        f" (gated: {parallel_gated});"
+        f" {parallel_s:.2f}s -> {report['speedup']:.2f}x;"
         f" cache cold {cache_passes['cold_seconds']:.3f}s,"
         f" warm {cache_passes['warm_seconds']:.4f}s,"
         f" append {cache_passes['append_delta_seconds']:.3f}s"
     )
 
-    if parallel_gated:
-        assert report["speedup"] >= MIN_REPORT_SPEEDUP, (
-            f"parallel report speedup {report['speedup']}x below "
-            f"{MIN_REPORT_SPEEDUP}x on a {os.cpu_count()}-core machine"
-        )

@@ -90,9 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "process-pool size for the figure sections (default: "
-            "REPRO_WORKERS or all cores; 1 = serial; tables are "
-            "byte-identical either way)"
+            "process-pool size for Fig 13's training folds with --windows "
+            "(default: REPRO_WORKERS or all cores; 1 = serial); the other "
+            "sections build in-process, and tables are byte-identical "
+            "either way"
         ),
     )
     report.add_argument(
@@ -143,8 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "process-pool size for the report pipeline (default: "
-            "REPRO_WORKERS or all cores; 1 = serial)"
+            "process-pool size for Fig 13's training folds (default: "
+            "REPRO_WORKERS or all cores; 1 = serial); the file is "
+            "byte-identical either way"
         ),
     )
 
@@ -408,7 +410,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.core.report import format_table
     from repro.parallel import resolve_workers
     from repro.simulation import FacilityEngine, MiraScenario
-    from repro.simulation.datasets import canonical_dataset
+    from repro.simulation.datasets import CACHE_FAILURES, canonical_dataset
 
     if args.full_study:
         print("building the canonical six-year dataset ...")
@@ -419,7 +421,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
             MiraScenario.demo(days=args.days, seed=args.seed)
         ).run()
     workers = resolve_workers(args.workers)
-    print(f"building the report on {workers} worker{'s' if workers != 1 else ''} ...")
+    folds = (
+        f" (Fig 13's folds on {workers} worker{'s' if workers != 1 else ''})"
+        if args.windows
+        else ""
+    )
+    print(f"building the report{folds} ...")
     section_cache = False if args.no_section_cache else None
     started = time.perf_counter()
     sections = full_report(
@@ -449,6 +456,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print("  " + ", ".join(f"{k}={v}" for k, v in counters.items()))
         else:
             print("section cache: disabled")
+        print(
+            "dataset cache: "
+            + ", ".join(f"{k}={v}" for k, v in CACHE_FAILURES.items())
+        )
     return 0
 
 
@@ -492,7 +503,12 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.analytics.incremental import SectionMemoStore
-    from repro.simulation.datasets import cache_entries, cache_root, clear_cache
+    from repro.simulation.datasets import (
+        cache_entries,
+        cache_root,
+        clear_cache,
+        quarantined_count,
+    )
 
     root = cache_root()
     store = SectionMemoStore(enabled=True)
@@ -518,6 +534,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
               f"{total / 1e6:.1f}MB total")
     else:
         print(f"no dataset-cache entries under {root}")
+    print(f"quarantined dataset entries: {quarantined_count()}")
     if sections:
         print(f"\nsection memos at {store.root}:")
         print(f"{'section':<22} {'kind':<6} {'key':<26} {'size':>9} {'age':>9}")

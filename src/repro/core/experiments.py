@@ -10,10 +10,7 @@ the same rows — one source of truth for what "reproduced" means.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from repro import constants
 from repro.core.aftermath import analyze_aftermath
@@ -29,7 +26,7 @@ from repro.core.trends import (
     weekday_profiles,
     yearly_trends,
 )
-from repro.parallel import pstarmap, resolve_workers
+from repro.parallel import resolve_workers
 from repro.simulation.engine import SimulationResult
 from repro.simulation.windows import LeadupWindow, WindowSynthesizer
 from repro.telemetry.records import Channel
@@ -313,11 +310,11 @@ def _rack(pair: Tuple[int, int]):
     return RackId(*pair)
 
 
-# -- parallel dispatch -------------------------------------------------------
+# -- assembly ----------------------------------------------------------------
 
-#: Canonical section order: (title, per-section builder).  Each entry is
-#: an independent task for the process pool; the assembled report dict
-#: always iterates in this order regardless of completion order.
+#: Canonical section order: (title, per-section builder).  The assembled
+#: report always iterates in this order, with Figs 12/13 last when the
+#: windows are synthesized.
 SECTION_BUILDERS: Tuple[Tuple[str, Callable[[SimulationResult], List[ReportRow]]], ...] = (
     ("Fig 2 — year-over-year power and utilization", fig2_rows),
     ("Fig 3 — coolant flow and temperatures", fig3_rows),
@@ -334,188 +331,99 @@ SECTION_BUILDERS: Tuple[Tuple[str, Callable[[SimulationResult], List[ReportRow]]
 FIG12_TITLE = "Fig 12 — the lead-up to a CMF"
 FIG13_TITLE = "Fig 13 — the CMF predictor"
 
+#: The builder :func:`full_report` calls for each section of
+#: :data:`SECTION_BUILDERS`, by name.
 _BUILDERS_BY_NAME = {fn.__name__: fn for _, fn in SECTION_BUILDERS}
-
-#: The result :func:`full_report` is dispatching, set only while its
-#: tasks run.  Pool workers are forked children (see
-#: :mod:`repro.parallel`), so they read it from the memory they
-#: inherited and no task payload carries the dataset.
-_REPORT_RESULT: Optional[SimulationResult] = None
-#: Serializes dispatches: a fork must see its own caller's result.
-_REPORT_LOCK = threading.Lock()
-
-
-def _report_task(kind: str, *args):
-    """One unit of parallel report work (must stay module-level picklable).
-
-    ``(kind, *args)`` is ``("section", builder_name)``,
-    ``("positives", lo, hi)``, or ``("negatives", count, lo, hi)``; the
-    window slices are bit-identical to the serial synthesis because
-    window *i*'s noise depends only on its index (see
-    :class:`~repro.simulation.windows.WindowSynthesizer`).
-    """
-    result = _REPORT_RESULT
-    if kind == "section":
-        return _BUILDERS_BY_NAME[args[0]](result)
-    synthesizer = WindowSynthesizer(result)
-    if kind == "positives":
-        return synthesizer.positive_windows(*args)
-    if kind == "negatives":
-        count, lo, hi = args
-        return synthesizer.negative_windows(count, lo=lo, hi=hi)
-    raise ValueError(f"unknown report task {kind!r}")
-
-
-def _dispatch(result: SimulationResult, tasks: List[Tuple], workers: int) -> List:
-    """Run report tasks with ``result`` in the slot the workers read."""
-    global _REPORT_RESULT
-    with _REPORT_LOCK:
-        _REPORT_RESULT = result
-        try:
-            return pstarmap(_report_task, tasks, workers=workers, chunksize=1)
-        finally:
-            _REPORT_RESULT = None
-
-
-def _chunk_bounds(total: int, chunks: int) -> List[Tuple[int, int]]:
-    """Split ``range(total)`` into at most ``chunks`` contiguous slices."""
-    chunks = max(1, min(chunks, total))
-    edges = np.linspace(0, total, chunks + 1).astype(int)
-    return [
-        (int(edges[i]), int(edges[i + 1]))
-        for i in range(chunks)
-        if edges[i + 1] > edges[i]
-    ]
 
 
 def _resolve_section_store(section_cache):
     """Map the ``section_cache`` argument to an enabled store or None."""
     if section_cache is False:
         return None
-    if section_cache is None or section_cache is True:
+    if section_cache is None:
         from repro.analytics.incremental.memo import default_store
 
-        store = default_store()
-    else:
-        store = section_cache
-    return store if store.enabled else None
+        section_cache = default_store()
+    return section_cache if section_cache.enabled else None
 
 
-def _compute_incremental_sections(
-    result: SimulationResult,
-    names: Sequence[str],
-    store,
-    digest_info,
-    cfg_digest: str,
-) -> Dict[str, List[ReportRow]]:
-    """Fold and finalize the incremental sections in-process.
+def _fold_state(
+    result: SimulationResult, state_id: str, store, digest_info, cfg_digest: str
+) -> Dict:
+    """Load, advance, re-publish and count one incremental state blob.
 
-    Each needed state blob is loaded once, revalidated against the
-    store's chunk prefix, advanced (folding only appended rows when
-    the prefix held), re-published, and finalized per section.  Runs
-    in the parent: the folds are vectorized slices over (possibly
-    memory-mapped) columns, far cheaper than a worker round-trip.
+    The cached blob is revalidated against the store's chunk prefix
+    and advanced by folding only the rows appended since (or rebuilt
+    when the prefix no longer holds).  The folds are vectorized slices
+    over (possibly memory-mapped) columns.
     """
-    from repro.analytics.incremental.sections import (
-        INCREMENTAL_SECTIONS,
-        advance_state,
-    )
+    from repro.analytics.incremental.sections import advance_state
 
-    database = result.database
-    payloads: Dict[str, Dict] = {}
-    for state_id in sorted({INCREMENTAL_SECTIONS[n].state_id for n in names}):
-        prior = store.load_state(state_id, cfg_digest) if store else None
-        state, outcome = advance_state(database, state_id, prior, digest_info)
-        if store is not None:
-            counters = store.counters
-            if outcome == "hit":
-                counters.state_hits += 1
-            elif outcome == "append":
-                counters.state_appends += 1
-            elif outcome == "invalidated":
-                counters.invalidations += 1
-            else:
-                counters.state_misses += 1
-            if outcome != "hit":
-                store.store_state(state_id, cfg_digest, state)
-        payloads[state_id] = state.payload
-    return {
-        name: INCREMENTAL_SECTIONS[name].finalize(
-            payloads[INCREMENTAL_SECTIONS[name].state_id], result
-        )
-        for name in names
-    }
+    prior = store.load_state(state_id, cfg_digest)
+    state, outcome = advance_state(result.database, state_id, prior, digest_info)
+    counters = store.counters
+    if outcome == "hit":
+        counters.state_hits += 1
+    elif outcome == "append":
+        counters.state_appends += 1
+    elif outcome == "invalidated":
+        counters.invalidations += 1
+    else:
+        counters.state_misses += 1
+    if outcome != "hit":
+        store.store_state(state_id, cfg_digest, state)
+    return state.payload
 
 
 def full_report(
     result: SimulationResult,
-    positive_windows: Optional[Sequence[LeadupWindow]] = None,
-    negative_windows: Optional[Sequence[LeadupWindow]] = None,
     workers: Optional[int] = None,
     synthesize_windows: bool = False,
     section_cache: Union[None, bool, object] = None,
 ) -> Dict[str, List[ReportRow]]:
     """All figures' comparisons, keyed by a section title.
 
-    Every figure section is an independent task fanned out over a
-    process pool (:func:`repro.parallel.pstarmap`) whose forked
-    workers read ``result`` from inherited memory, so the report
-    writes nothing to disk to hand it over.  The assembled report is
-    bit-identical at any worker count, and ``workers=1`` runs the
-    exact same task functions serially in-process.
+    Every section is built in this process, in the canonical order of
+    :data:`SECTION_BUILDERS`.  The one process pool is Fig 13's: its
+    folds train in lockstep groups, one pool task per group of folds
+    that share a batch schedule (see
+    :func:`repro.core.prediction.sweep_leads`), on ``workers``
+    processes.  The report is bit-identical at any worker count.
 
-    The Fig 12/13 sections are included when windows are given, or
-    when ``synthesize_windows`` asks the report to build them itself —
-    in which case the 300 s window synthesis is sharded across the
-    pool too.  Each window reads only the coarse rows its grid spans,
-    so synthesis is a small share of a cold build.  Fig 13's folds
-    train in lockstep groups, one pool task per group of folds that
-    share a batch schedule (see
-    :func:`repro.core.prediction.sweep_leads`), on a pool of the
-    requested size whatever the section tasks left to do.
+    With ``synthesize_windows`` the report builds the 300 s lead-up
+    windows once and adds the Fig 12/13 sections, provided some CMF
+    lies far enough into the run to carry a full window.  Reports on
+    windows built elsewhere call :func:`fig12_rows` and
+    :func:`fig13_rows` directly.
 
     With the section memo store enabled (the default; see
-    :mod:`repro.analytics.incremental`), every section is looked up by
-    the dataset's content address *before* any task is dispatched:
-    memoized sections are served from disk, sections with an
-    incremental reducer fold only rows appended since their cached
-    watermark, and only genuinely new work reaches the pool.  Cached
-    and fresh builds are pinned equal (exact discrete values, <= 1e-12
-    floats) by ``tests/test_incremental_report.py``.
+    :mod:`repro.analytics.incremental`), each section is looked up by
+    the dataset's content address before it is built: memoized
+    sections are served from disk, sections with an incremental
+    reducer fold only rows appended since their cached watermark, and
+    every section built is stored.  Cached and fresh builds are pinned
+    equal (exact discrete values, <= 1e-12 floats) by
+    ``tests/test_incremental_report.py``.
 
     Args:
         result: The simulation to report on.
-        positive_windows: Pre-built CMF lead-up windows (optional).
-            When windows are passed explicitly their sections are
-            never memoized — their content is the caller's, not
-            derivable from the dataset address.
-        negative_windows: Pre-built negative-class windows (optional).
-        workers: Pool size (see :func:`repro.parallel.resolve_workers`).
-        synthesize_windows: Build the Fig 12/13 windows in-report when
-            none were passed.
+        workers: Fig 13's fold-pool size (see
+            :func:`repro.parallel.resolve_workers`).
+        synthesize_windows: Build the lead-up windows and report Figs
+            12/13.
         section_cache: ``None`` (default) uses the process-wide memo
             store unless ``REPRO_SECTION_CACHE=0``; ``False`` disables
             memoization for this call; a
             :class:`~repro.analytics.incremental.SectionMemoStore`
             instance is used as-is.
     """
-    synthesize = synthesize_windows and positive_windows is None
-    positives_total = 0
-    if synthesize:
-        positives_total = len(WindowSynthesizer(result).eligible_events())
-        synthesize = positives_total > 0
-
+    titles = {fn.__name__: title for title, fn in SECTION_BUILDERS}
+    synthesizer = WindowSynthesizer(result) if synthesize_windows else None
+    if synthesizer is not None and synthesizer.eligible_events():
+        titles.update(fig12_rows=FIG12_TITLE, fig13_rows=FIG13_TITLE)
     store = _resolve_section_store(section_cache)
-    memo_rows: Dict[str, List[ReportRow]] = {}
-    incremental_names: List[str] = []
-    keys: Dict[str, object] = {}
-    digest_info = None
-    cfg_digest = ""
     if store is not None:
-        from repro.analytics.incremental.memo import (
-            CONFIG_ONLY_ROOT,
-            config_digest,
-        )
+        from repro.analytics.incremental.memo import CONFIG_ONLY_ROOT, config_digest
         from repro.analytics.incremental.sections import (
             INCREMENTAL_SECTIONS,
             TELEMETRY_INDEPENDENT_SECTIONS,
@@ -523,87 +431,42 @@ def full_report(
 
         digest_info = result.database.digest_info()
         cfg_digest = config_digest(result.config)
-        section_ids = [fn.__name__ for _, fn in SECTION_BUILDERS]
-        if synthesize:
-            # Synthesized windows derive from the result alone, so
-            # their sections are addressable like any other.
-            section_ids += ["fig12_rows", "fig13_rows"]
-        for section_id in section_ids:
-            root = (
-                CONFIG_ONLY_ROOT
-                if section_id in TELEMETRY_INDEPENDENT_SECTIONS
-                else digest_info.root
-            )
-            key = store.key(root, section_id, cfg_digest)
-            keys[section_id] = key
-            rows = store.load_rows(key)
-            if rows is not None:
-                memo_rows[section_id] = rows
-            elif section_id in INCREMENTAL_SECTIONS:
-                incremental_names.append(section_id)
+    windows: List[List[LeadupWindow]] = []
+    payloads: Dict[str, Dict] = {}
 
-    pool_section_names = [
-        fn.__name__
-        for _, fn in SECTION_BUILDERS
-        if fn.__name__ not in memo_rows and fn.__name__ not in incremental_names
-    ]
-    section_tasks = [("section", name) for name in pool_section_names]
-    count = resolve_workers(workers, max_tasks=None)
-    need_windows = synthesize and not (
-        "fig12_rows" in memo_rows and "fig13_rows" in memo_rows
-    )
-    window_tasks: List[Tuple] = []
-    if need_windows:
-        for lo, hi in _chunk_bounds(positives_total, count * 4):
-            window_tasks.append(("positives", lo, hi))
-        for lo, hi in _chunk_bounds(positives_total, count * 4):
-            window_tasks.append(("negatives", positives_total, lo, hi))
-    tasks = window_tasks + section_tasks
-    outputs = _dispatch(result, tasks, count) if tasks else []
-
-    section_rows = outputs[len(window_tasks):]
-    pool_by_name = dict(zip(pool_section_names, section_rows))
-    if store is not None:
-        for name, rows in pool_by_name.items():
-            store.store_rows(keys[name], rows)
-    if incremental_names:
-        memo_rows.update(
-            _compute_incremental_sections(
-                result, incremental_names, store, digest_info, cfg_digest
-            )
-        )
-        if store is not None:
-            for name in incremental_names:
-                store.store_rows(keys[name], memo_rows[name])
+    def build(name: str) -> List[ReportRow]:
+        if name in ("fig12_rows", "fig13_rows"):
+            if not windows:
+                positives = synthesizer.positive_windows()
+                windows.extend((positives, synthesizer.negative_windows(len(positives))))
+            if name == "fig12_rows":
+                return fig12_rows(windows[0])
+            return fig13_rows(*windows, workers=resolve_workers(workers))
+        if store is not None and name in INCREMENTAL_SECTIONS:
+            state_id = INCREMENTAL_SECTIONS[name].state_id
+            if state_id not in payloads:
+                payloads[state_id] = _fold_state(
+                    result, state_id, store, digest_info, cfg_digest
+                )
+            return INCREMENTAL_SECTIONS[name].finalize(payloads[state_id], result)
+        return _BUILDERS_BY_NAME[name](result)
 
     sections: Dict[str, List[ReportRow]] = {}
-    for title, fn in SECTION_BUILDERS:
-        name = fn.__name__
-        sections[title] = memo_rows[name] if name in memo_rows else pool_by_name[name]
-
-    if need_windows:
-        n_pos_chunks = len(window_tasks) // 2
-        positive_windows = [
-            w for chunk in outputs[:n_pos_chunks] for w in chunk
-        ]
-        negative_windows = [
-            w for chunk in outputs[n_pos_chunks : len(window_tasks)] for w in chunk
-        ]
-    if positive_windows is not None or (synthesize and not need_windows):
-        if "fig12_rows" in memo_rows:
-            sections[FIG12_TITLE] = memo_rows["fig12_rows"]
-        else:
-            sections[FIG12_TITLE] = fig12_rows(positive_windows)
-            if store is not None and synthesize:
-                store.store_rows(keys["fig12_rows"], sections[FIG12_TITLE])
-        if "fig13_rows" in memo_rows and synthesize:
-            sections[FIG13_TITLE] = memo_rows["fig13_rows"]
-        elif negative_windows is not None:
-            sections[FIG13_TITLE] = fig13_rows(
-                positive_windows, negative_windows, workers=count
+    for name, title in titles.items():
+        key = rows = None
+        if store is not None:
+            root = (
+                CONFIG_ONLY_ROOT
+                if name in TELEMETRY_INDEPENDENT_SECTIONS
+                else digest_info.root
             )
-            if store is not None and synthesize:
-                store.store_rows(keys["fig13_rows"], sections[FIG13_TITLE])
+            key = store.key(root, name, cfg_digest)
+            rows = store.load_rows(key)
+        if rows is None:
+            rows = build(name)
+            if key is not None:
+                store.store_rows(key, rows)
+        sections[title] = rows
     return sections
 
 

@@ -20,9 +20,8 @@ This module centralizes the three things every call site needs:
 
 Workers are ``fork`` children: each starts with a copy-on-write image
 of the parent's memory, so a task may read data the parent held when
-the pool started (the paper report leaves its dataset in a module
-slot for exactly that) instead of receiving it through a pipe.  Where
-the platform offers no ``fork`` start method, :func:`pmap` runs every
+the pool started instead of receiving it through a pipe.  Where the
+platform offers no ``fork`` start method, :func:`pmap` runs every
 task in-process.  Mapped functions and their payloads are still
 pickled per dispatch, so they must be module-level functions and
 plain data, not closures.

@@ -23,11 +23,13 @@ verified at load time: a flipped bit or truncated column (the cache
 lives for months on scratch filesystems), or a missing manifest,
 quarantines the entry aside (:func:`repro.blobfile.quarantine`) and
 the dataset is rematerialized from the simulation — corruption costs
-a rebuild, never a silently wrong analysis.
+a rebuild, never a silently wrong analysis.  Both that and a store
+that fails are counted in :data:`CACHE_FAILURES`.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -50,6 +52,11 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 _META_FILE = "result.json"
 _TELEMETRY_DIR = "telemetry"
+
+#: What this process's dataset cache survived: ``quarantined`` entries
+#: that failed verification, ``store_failed`` builds left uncached by
+#: an I/O error.  ``repro report --stats`` prints it.
+CACHE_FAILURES = collections.Counter({"quarantined": 0, "store_failed": 0})
 
 
 def cache_root() -> Path:
@@ -114,6 +121,7 @@ def _load_from_disk(
             raise ValueError("manifest mismatch")
         database = TelemetryArchive.load(entry / _TELEMETRY_DIR)
     except (OSError, ValueError, KeyError):
+        CACHE_FAILURES["quarantined"] += 1
         blobfile.quarantine(entry)
         return None
     # The engine constructor is deterministic and cheap relative to a
@@ -138,7 +146,7 @@ def _store_to_disk(result: SimulationResult, entry: Path) -> None:
 
     The archive is written to a temp directory next to the entry and
     renamed into place, so concurrent sessions never observe a
-    half-written cache; any I/O failure silently skips caching.
+    half-written cache; an I/O failure skips caching and is counted.
     """
     from repro.telemetry.archive import TelemetryArchive
 
@@ -146,6 +154,7 @@ def _store_to_disk(result: SimulationResult, entry: Path) -> None:
         entry.parent.mkdir(parents=True, exist_ok=True)
         tmp = Path(tempfile.mkdtemp(dir=entry.parent, prefix=blobfile.TEMP_PREFIX))
     except OSError:
+        CACHE_FAILURES["store_failed"] += 1
         return
     try:
         TelemetryArchive.save(result.database, tmp / _TELEMETRY_DIR)
@@ -163,6 +172,7 @@ def _store_to_disk(result: SimulationResult, entry: Path) -> None:
     except OSError:
         # Another session may have won the rename race, or the disk is
         # full/read-only; either way the in-memory result stands.
+        CACHE_FAILURES["store_failed"] += 1
         shutil.rmtree(tmp, ignore_errors=True)
 
 
@@ -226,6 +236,19 @@ def cache_entries() -> List[CacheEntry]:
         )
     entries.sort(key=lambda e: e.path.stat().st_mtime, reverse=True)
     return entries
+
+
+def quarantined_count() -> int:
+    """How many quarantined dataset entries sit under the cache root
+    (:func:`cache_entries` does not list them)."""
+    root = cache_root()
+    if not root.is_dir():
+        return 0
+    return sum(
+        1
+        for child in root.iterdir()
+        if child.is_dir() and child.name.startswith(blobfile.QUARANTINE_PREFIX)
+    )
 
 
 def clear_cache() -> int:

@@ -28,18 +28,16 @@ This mirrors the paper's dataset construction: positive samples from
 the six hours before each CMF, negative samples evenly drawn across
 the production period (Section VI-B).
 
-Determinism and parallelism
----------------------------
+Determinism
+-----------
 
 Window *i* of either class draws its sensor noise from a dedicated
 child generator spawned from the synthesizer seed (via
 :class:`numpy.random.SeedSequence`), and the negative (time, rack)
 candidates come from their own child stream drawn up front.  A
-window's realization therefore depends only on its index — never on
-how many windows were built before it or in which process — which is
-what lets the parallel report pipeline fan ``positive_windows(lo, hi)``
-slices out across workers and reassemble a list bit-identical to the
-serial one.
+window's realization therefore depends only on its index, never on
+how many windows were built before it, and that per-index seeding
+defines the canonical window realization.
 """
 
 from __future__ import annotations
@@ -320,25 +318,13 @@ class WindowSynthesizer:
         start = self._result.start_epoch_s + self.history_s
         return [event for event in schedule.events if event.epoch_s >= start]
 
-    def positive_windows(
-        self, lo: int = 0, hi: Optional[int] = None
-    ) -> List[LeadupWindow]:
-        """One window per eligible CMF event in the schedule.
-
-        Args:
-            lo: First eligible-event index to build (inclusive).
-            hi: One past the last index (default: all).  Window ``i``
-                is identical whichever slice it is built in, so
-                ``positive_windows(0, k) + positive_windows(k, None)``
-                equals ``positive_windows()`` bit for bit — the
-                parallel report relies on this to shard the synthesis.
-        """
+    def positive_windows(self) -> List[LeadupWindow]:
+        """One window per eligible CMF event in the schedule."""
         events = self.eligible_events()
         seeds = self._seed_roots()[0].spawn(len(events))
-        stop = len(events) if hi is None else min(hi, len(events))
         return [
-            self.positive_window(events[i], np.random.default_rng(seeds[i]))
-            for i in range(lo, stop)
+            self.positive_window(event, np.random.default_rng(seed))
+            for event, seed in zip(events, seeds)
         ]
 
     def negative_candidates(
@@ -346,10 +332,7 @@ class WindowSynthesizer:
     ) -> List[Tuple[RackId, float]]:
         """The deterministic (rack, end-time) pairs of the negative class.
 
-        Candidates are rejection-sampled from a dedicated child stream
-        — cheap (no window construction), so a worker building one
-        slice of the negatives re-derives the full pair list and picks
-        its share.
+        Candidates are rejection-sampled from a dedicated child stream.
 
         A candidate (time, rack) is rejected if the rack has a CMF
         within ``exclusion_s`` of the window end, mirroring the paper's
@@ -381,29 +364,18 @@ class WindowSynthesizer:
         return pairs
 
     def negative_windows(
-        self,
-        count: int,
-        exclusion_s: float = 24 * 3600.0,
-        lo: int = 0,
-        hi: Optional[int] = None,
+        self, count: int, exclusion_s: float = 24 * 3600.0
     ) -> List[LeadupWindow]:
         """``count`` windows drawn evenly across the production period.
 
         Args:
-            count: Total negative-class size (fixes the candidate list
-                and the per-window noise seeds).
+            count: Negative-class size (fixes the candidate list and
+                the per-window noise seeds).
             exclusion_s: CMF exclusion radius for candidates.
-            lo: First window index to build (inclusive).
-            hi: One past the last index (default: all ``count``); as
-                with :meth:`positive_windows`, slices concatenate to
-                the full list bit for bit.
         """
         pairs = self.negative_candidates(count, exclusion_s)
         seeds = self._seed_roots()[2].spawn(count)
-        stop = count if hi is None else min(hi, count)
         return [
-            self.negative_window(
-                pairs[i][0], pairs[i][1], np.random.default_rng(seeds[i])
-            )
-            for i in range(lo, stop)
+            self.negative_window(rack, end, np.random.default_rng(seed))
+            for (rack, end), seed in zip(pairs, seeds)
         ]

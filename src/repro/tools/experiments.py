@@ -40,10 +40,10 @@ def write_experiments_md(
 ) -> Path:
     """Build the full report and write the markdown file.
 
-    The figure sections, the 300 s window synthesis and Fig 13's
-    lockstep fold groups fan out over a process pool (see
-    :func:`repro.core.experiments.full_report`).  The file is
-    byte-identical at any worker count.
+    The figure sections and the 300 s window synthesis run in this
+    process; ``workers`` sizes the pool that trains Fig 13's lockstep
+    fold groups (see :func:`repro.core.experiments.full_report`).  The
+    file is byte-identical at any worker count.
     """
     from repro.core.experiments import full_report, render_markdown
     from repro.simulation.datasets import canonical_dataset

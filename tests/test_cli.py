@@ -89,6 +89,8 @@ class TestReport:
         assert "dataset digest:" in output
         # The conftest env gate keeps the default store off in tests.
         assert "section cache: disabled" in output
+        assert "dataset cache: quarantined=" in output
+        assert ", store_failed=" in output
 
     def test_report_no_section_cache_flag(self, capsys):
         code = main(
@@ -251,6 +253,17 @@ class TestCache:
         output = capsys.readouterr().out
         assert "digest" in output
         assert "MB total" in output
+
+    def test_info_counts_quarantined_entries(self, cache_dir, capsys):
+        from repro.simulation import MiraScenario
+        from repro.simulation.datasets import _config_digest, build_dataset
+
+        config = MiraScenario.demo(days=3, seed=5)
+        build_dataset(config)
+        (cache_dir / _config_digest(config) / "result.json").write_text("{not json")
+        build_dataset(config)
+        assert main(["cache", "info"]) == 0
+        assert "quarantined dataset entries: 1" in capsys.readouterr().out
 
     def test_clear_empties_cache(self, cache_dir, capsys):
         from repro.simulation import MiraScenario

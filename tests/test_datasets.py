@@ -12,12 +12,14 @@ from repro import __version__
 from repro.simulation.datasets import (
     CACHE_DIR_ENV,
     CACHE_ENV,
+    CACHE_FAILURES,
     _config_digest,
     build_dataset,
     cache_entries,
     cache_root,
     canonical_dataset,
     clear_cache,
+    quarantined_count,
     small_dataset,
 )
 from repro.telemetry.archive import TelemetryArchive
@@ -169,6 +171,26 @@ class TestDiskCache:
                 first.database.channel(channel).values,
                 equal_nan=True,
             )
+
+    def test_quarantine_counted(self, cache_dir, tiny_config):
+        build_dataset(tiny_config)
+        entry = cache_dir / _config_digest(tiny_config)
+        (entry / "result.json").write_text("{not json")
+        before = CACHE_FAILURES["quarantined"]
+        build_dataset(tiny_config)
+        assert CACHE_FAILURES["quarantined"] == before + 1
+        assert quarantined_count() == 1
+
+    def test_failed_store_counted(self, cache_dir, tiny_config, monkeypatch):
+        def full_disk(database, directory):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(TelemetryArchive, "save", staticmethod(full_disk))
+        before = CACHE_FAILURES["store_failed"]
+        result = build_dataset(tiny_config)
+        assert CACHE_FAILURES["store_failed"] == before + 1
+        assert result.database.num_samples == 3 * 48
+        assert not any(cache_dir.iterdir())  # the temp dir was removed
 
     def test_digest_separates_configs_and_versions(self, tiny_config, monkeypatch):
         other = MiraScenario.demo(days=3, seed=6)

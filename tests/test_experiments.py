@@ -14,9 +14,8 @@ class TestFullReport:
             assert rows, f"empty section {title}"
             assert all(isinstance(row, ReportRow) for row in rows)
 
-    def test_window_sections_added(self, year_result, year_windows):
-        positives, negatives = year_windows
-        sections = full_report(year_result, positives, negatives)
+    def test_window_sections_added(self, year_result):
+        sections = full_report(year_result, synthesize_windows=True)
         assert any("Fig 12" in title for title in sections)
         assert any("Fig 13" in title for title in sections)
 

@@ -130,32 +130,6 @@ class TestMemoizedEquivalence:
         assert any("Fig 12" in title for title in reference)
         assert store.counters.hits == store.counters.stores
 
-    def test_explicit_windows_never_memoized(self, tmp_path, month_result):
-        from repro.simulation import WindowSynthesizer
-
-        synthesizer = WindowSynthesizer(month_result)
-        positives = synthesizer.positive_windows()
-        negatives = synthesizer.negative_windows(len(positives))
-        store = SectionMemoStore(root=tmp_path, enabled=True)
-        reference = full_report(
-            month_result,
-            positive_windows=positives,
-            negative_windows=negatives,
-            workers=1,
-            section_cache=False,
-        )
-        cached = full_report(
-            month_result,
-            positive_windows=positives,
-            negative_windows=negatives,
-            workers=1,
-            section_cache=store,
-        )
-        assert_sections_equal(reference, cached)
-        sections = {e.section for e in store.entries() if e.kind == "rows"}
-        assert "fig12_rows" not in sections
-        assert "fig13_rows" not in sections
-
     def test_disabled_cache_writes_nothing(self, tmp_path, month_result, monkeypatch):
         from repro.simulation.datasets import CACHE_DIR_ENV
 

@@ -1,8 +1,9 @@
-"""The parallel figure pipeline: full_report fanned over a process pool.
+"""The paper report at any worker count.
 
-The contract under test is bit-identity: the report assembled from any
-worker count — forked workers reading the inherited result, and the
-sharded window synthesis — must equal the serial report row for row.
+``full_report`` builds every section in-process; the only pool is Fig
+13's lockstep fold groups, sized by ``workers``.  The contract under
+test is bit-identity: the report at any worker count must equal the
+serial report row for row, and a report without Fig 13 starts no pool.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.core.experiments import (
     FIG12_TITLE,
     FIG13_TITLE,
     SECTION_BUILDERS,
-    _chunk_bounds,
     full_report,
 )
 from repro.simulation import FacilityEngine, MiraScenario
@@ -76,8 +76,8 @@ class TestParallelEqualsSerial:
         _assert_reports_equal(serial, parallel)
 
     def test_faulted_result_pools(self, faulted_result):
-        # Workers read the result they inherited, quality masks and
-        # fault truth included, so a faulted run pools like any other.
+        # Quality masks and fault truth do not change the report at
+        # any worker count.
         serial = full_report(faulted_result, workers=1)
         _assert_reports_equal(serial, full_report(faulted_result, workers=4))
 
@@ -85,19 +85,13 @@ class TestParallelEqualsSerial:
         sections = full_report(demo_result, workers=2)
         assert list(sections) == [title for title, _ in SECTION_BUILDERS]
 
-    def test_prebuilt_windows_still_accepted(self, year_result, year_windows):
-        positives, negatives = year_windows
-        serial = full_report(year_result, positives, negatives, workers=1)
-        parallel = full_report(year_result, positives, negatives, workers=2)
-        _assert_reports_equal(serial, parallel)
-
 
 class TestFig13Workers:
     def test_fig13_gets_the_requested_workers(
-        self, tmp_path, monkeypatch, demo_result, year_windows
+        self, tmp_path, monkeypatch, demo_result
     ):
-        # Fig 13's fold pool is sized by the caller's request, not by
-        # how many section tasks were left after the memo lookups.
+        # Fig 13's fold pool is sized by the caller's request, however
+        # many other sections the memo left to build.
         received = []
 
         def recording_fig13(positives, negatives, workers=None):
@@ -105,35 +99,51 @@ class TestFig13Workers:
             return []
 
         monkeypatch.setattr(repro.core.experiments, "fig13_rows", recording_fig13)
-        positives, negatives = year_windows
         store = SectionMemoStore(root=tmp_path, enabled=True)
-        full_report(demo_result, positives, negatives, workers=2, section_cache=store)
-        # Every section memoized but one: a single section task remains.
-        for entry in tmp_path.glob("fig10_11_rows-*.rows.pkl"):
-            entry.unlink()
-        full_report(demo_result, positives, negatives, workers=2, section_cache=store)
+        full_report(
+            demo_result, workers=2, synthesize_windows=True, section_cache=store
+        )
+        # Every section memoized but Figs 10-11 and 13.
+        for section in ("fig10_11_rows", "fig13_rows"):
+            for entry in tmp_path.glob(f"{section}-*.rows.pkl"):
+                entry.unlink()
+        full_report(
+            demo_result, workers=2, synthesize_windows=True, section_cache=store
+        )
         assert received == [2, 2]
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("pmap built a process pool")
+
+
+class TestNoSectionPool:
+    def test_sections_only_report_starts_no_pool(self, demo_result, monkeypatch):
+        # Without Fig 13 nothing is left to pool: every section is
+        # built in this process at any worker count.
+        serial = full_report(demo_result, workers=1)
+        monkeypatch.setattr(repro.parallel, "ProcessPoolExecutor", _no_pool)
+        _assert_reports_equal(serial, full_report(demo_result, workers=2))
 
 
 class TestForkOnly:
     def test_no_fork_runs_in_process(self, demo_result, monkeypatch):
-        # Without ``fork`` a pool worker would not inherit the result,
-        # so pmap must not build a pool at all.
-        def no_pool(*args, **kwargs):
-            raise AssertionError("pmap built a pool without fork")
-
-        serial = full_report(demo_result, workers=1)
+        # Without ``fork`` a pool worker would not inherit the fold
+        # data, so pmap must not build a pool at all.
+        serial = full_report(demo_result, workers=1, synthesize_windows=True)
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
         )
-        monkeypatch.setattr(repro.parallel, "ProcessPoolExecutor", no_pool)
-        _assert_reports_equal(serial, full_report(demo_result, workers=2))
+        monkeypatch.setattr(repro.parallel, "ProcessPoolExecutor", _no_pool)
+        _assert_reports_equal(
+            serial, full_report(demo_result, workers=2, synthesize_windows=True)
+        )
 
 
 class TestConcurrentReports:
     def test_each_caller_pools_its_own_result(self, demo_result, faulted_result):
-        # Workers read one process-wide slot; two threads dispatching
-        # at once (more workers than cores) must not see each other's.
+        # Two threads building reports at once, with more workers than
+        # cores, must each get their own result's report.
         results = (demo_result, faulted_result)
         expected = [full_report(result, workers=1) for result in results]
         failures = []
@@ -177,47 +187,9 @@ class TestNoSideEffects:
         assert list(cache_dir.iterdir()) == []
 
 
-class TestChunkBounds:
-    def test_covers_range_without_overlap(self):
-        for total, chunks in ((10, 3), (7, 7), (5, 16), (361, 8)):
-            bounds = _chunk_bounds(total, chunks)
-            flat = [i for lo, hi in bounds for i in range(lo, hi)]
-            assert flat == list(range(total))
-
-    def test_empty_range(self):
-        assert _chunk_bounds(0, 4) == []
-
-    def test_chunks_capped_at_total(self):
-        assert len(_chunk_bounds(3, 100)) == 3
-
-
 class TestSlicedSynthesis:
-    """Window i's noise depends only on its index, so any sharding of
-    the synthesis concatenates to the exact full-list output."""
-
-    def test_positive_slices_concatenate(self, demo_result):
-        synthesizer = WindowSynthesizer(demo_result)
-        full = synthesizer.positive_windows()
-        assert full, "demo dataset should have eligible CMFs"
-        split = len(full) // 2
-        halves = synthesizer.positive_windows(0, split) + synthesizer.positive_windows(
-            split
-        )
-        assert len(halves) == len(full)
-        for a, b in zip(full, halves):
-            _assert_windows_equal(a, b)
-
-    def test_negative_slices_concatenate(self, demo_result):
-        synthesizer = WindowSynthesizer(demo_result)
-        count = len(synthesizer.positive_windows())
-        full = synthesizer.negative_windows(count)
-        split = count // 2
-        halves = synthesizer.negative_windows(
-            count, lo=0, hi=split
-        ) + synthesizer.negative_windows(count, lo=split)
-        assert len(halves) == len(full)
-        for a, b in zip(full, halves):
-            _assert_windows_equal(a, b)
+    """Window i's noise depends only on its index, never on the windows
+    built before it, so resynthesis is exact."""
 
     def test_resynthesis_is_deterministic(self, demo_result):
         synthesizer = WindowSynthesizer(demo_result)

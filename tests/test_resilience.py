@@ -383,7 +383,12 @@ class TestRecoveryEquivalence:
     def test_kill_recover_matches_uninterrupted(
         self, stream_result, tmp_path, chunk_size
     ):
-        config = ServiceConfig(chunk_size=chunk_size, analytics_policy="block")
+        # One-chunk queues keep every consumer within two chunks of the
+        # publisher, so each has snapshotted by the mid-stream kill and
+        # the restore path runs for all three at every chunk size.
+        config = ServiceConfig(
+            chunk_size=chunk_size, analytics_policy="block", queue_capacity=1
+        )
         expected = _baseline(stream_result, config)
 
         durable = dataclasses.replace(
@@ -410,6 +415,12 @@ class TestRecoveryEquivalence:
         assert recovered.recovery is not None
         assert recovered.recovery.wal_records > 0
         assert recovered.recovery.resume_seq <= kill_seq
+        unrestored = [
+            c.component
+            for c in recovered.recovery.components
+            if c.snapshot_seq is None
+        ]
+        assert unrestored == []
         report = recovered.run()
         assert report.recovery is recovered.recovery
         _assert_equivalent(expected, recovered)
