@@ -139,8 +139,8 @@ def main() -> None:
     engine.execute(Query("aggregate", Channel.POWER, start, end, stat="mean"))
     info = engine.cache_info()
     print(
-        f"  cache: {info.hits} hits / {info.misses} misses, "
-        f"{info.entries} entries"
+        f"  cache: {info['hits']} hits / {info['misses']} misses, "
+        f"{info['entries']} entries"
     )
 
     print("\nLive append and windowed invalidation:")
@@ -159,8 +159,8 @@ def main() -> None:
     info = engine.cache_info()
     print(
         "  after appending one fresh sample: "
-        f"{info.revalidations} closed-window entries kept, "
-        f"{info.invalidations} live-window entries recomputed"
+        f"{info['revalidations']} closed-window entries kept, "
+        f"{info['invalidations']} live-window entries recomputed"
     )
 
 

@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro import __version__, blobfile
+from repro.metrics import Counters
 
 #: Environment variable: set to ``0`` to disable the section memo store.
 SECTION_CACHE_ENV = "REPRO_SECTION_CACHE"
@@ -90,30 +91,26 @@ class SectionKey:
         return f"{self.section_id}-{self.scope}-{self.digest}.rows.pkl"
 
 
-@dataclasses.dataclass
-class SectionCacheCounters:
+class SectionCacheCounters(Counters):
     """Hit/miss/invalidation observability for ``--stats``/``/metrics``."""
 
     #: Finished-row entries served from disk.
-    hits: int = 0
+    hits: int
     #: Row lookups that found nothing usable.
-    misses: int = 0
+    misses: int
     #: Row entries written.
-    stores: int = 0
+    stores: int
     #: Reducer states reused as-is (dataset unchanged).
-    state_hits: int = 0
+    state_hits: int
     #: Reducer states advanced by folding only appended rows.
-    state_appends: int = 0
+    state_appends: int
     #: Reducer states built from scratch (no prior state).
-    state_misses: int = 0
+    state_misses: int
     #: Stored entries rejected: stale prefix, key mismatch, or corrupt.
-    invalidations: int = 0
+    invalidations: int
     #: Files that failed verification (magic, length, CRC32 or unpickle)
     #: and were quarantined.
-    corrupt: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
+    corrupt: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,7 +185,7 @@ class SectionMemoStore:
         except OSError:
             return None
         except blobfile.CorruptBlob:
-            self.counters.corrupt += 1
+            self.counters.add(corrupt=1)
             return None
 
     def _write(self, path: Path, record: Dict[str, Any]) -> bool:
@@ -208,14 +205,13 @@ class SectionMemoStore:
             return None
         record = self._read(self.root / key.filename)
         if record is None:
-            self.counters.misses += 1
+            self.counters.add(misses=1)
             return None
         if record.get("kind") != "rows" or record.get("key") != dataclasses.asdict(key):
             # A filename collision or a foreign entry: never serve it.
-            self.counters.invalidations += 1
-            self.counters.misses += 1
+            self.counters.add(invalidations=1, misses=1)
             return None
-        self.counters.hits += 1
+        self.counters.add(hits=1)
         return record["rows"]
 
     def store_rows(self, key: SectionKey, rows: List[Any]) -> None:
@@ -229,7 +225,7 @@ class SectionMemoStore:
             return
         record = {"kind": "rows", "key": dataclasses.asdict(key), "rows": rows}
         if self._write(self.root / key.filename, record):
-            self.counters.stores += 1
+            self.counters.add(stores=1)
             self._prune_siblings(key)
 
     def _prune_siblings(self, key: SectionKey) -> None:
@@ -269,7 +265,7 @@ class SectionMemoStore:
             or record.get("config_digest") != config_digest
             or record.get("code_epoch") != self.code_epoch
         ):
-            self.counters.invalidations += 1
+            self.counters.add(invalidations=1)
             return None
         return record["state"]
 

@@ -53,6 +53,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from repro.metrics import Counters
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.service.bus import BusChunk
 
@@ -132,19 +134,15 @@ class ChaosConfig:
             raise ValueError("stall durations cannot be negative")
 
 
-@dataclasses.dataclass
-class ChaosCounters:
+class ChaosCounters(Counters):
     """Injected events per subscriber (kills are counted bus-wide)."""
 
-    crashes_injected: int = 0
-    hangs_injected: int = 0
-    slowdowns_injected: int = 0
-    kills_injected: int = 0
-    http_errors_injected: int = 0
-    http_resets_injected: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
+    crashes_injected: int
+    hangs_injected: int
+    slowdowns_injected: int
+    kills_injected: int
+    http_errors_injected: int
+    http_resets_injected: int
 
 
 class ChaosInjector:
@@ -170,7 +168,8 @@ class ChaosInjector:
     def _counters(self, name: str) -> ChaosCounters:
         counters = self.counters.get(name)
         if counters is None:
-            counters = self.counters[name] = ChaosCounters()
+            # setdefault: concurrent HTTP handler threads share one group.
+            counters = self.counters.setdefault(name, ChaosCounters())
         return counters
 
     def _rng(self, name: str) -> np.random.Generator:
@@ -198,23 +197,23 @@ class ChaosInjector:
         key = (name, start_seq)
         if key in self._crash_at and key not in self._fired:
             self._fired.add(key)
-            self._counters(name).crashes_injected += 1
+            self._counters(name).add(crashes_injected=1)
             raise ChaosCrash(f"injected crash in {name!r} at seq {start_seq}")
         if key in self._hang_at and key not in self._fired:
             self._fired.add(key)
-            self._counters(name).hangs_injected += 1
+            self._counters(name).add(hangs_injected=1)
             time.sleep(cfg.hang_s)
             return
         if not self._targeted(name):
             return
         if cfg.crash_rate > 0.0 and self._rng(name).random() < cfg.crash_rate:
-            self._counters(name).crashes_injected += 1
+            self._counters(name).add(crashes_injected=1)
             raise ChaosCrash(f"injected crash in {name!r} at seq {start_seq}")
         if cfg.hang_rate > 0.0 and self._rng(name).random() < cfg.hang_rate:
-            self._counters(name).hangs_injected += 1
+            self._counters(name).add(hangs_injected=1)
             time.sleep(cfg.hang_s)
         if cfg.slow_rate > 0.0 and self._rng(name).random() < cfg.slow_rate:
-            self._counters(name).slowdowns_injected += 1
+            self._counters(name).add(slowdowns_injected=1)
             time.sleep(cfg.slow_s)
 
     def on_publish(self, chunk: "BusChunk") -> None:
@@ -229,7 +228,7 @@ class ChaosInjector:
             return
         if chunk.end_seq >= kill_at:
             self._killed = True
-            self._counters("__bus__").kills_injected += 1
+            self._counters("__bus__").add(kills_injected=1)
             raise ChaosProcessKill(
                 f"injected process kill at chunk seqs "
                 f"[{chunk.start_seq}, {chunk.end_seq}]"
@@ -256,21 +255,21 @@ class ChaosInjector:
         key = ("__http__", index)
         if index in cfg.http_error_at and key not in self._fired:
             self._fired.add(key)
-            self._counters("__http__").http_errors_injected += 1
+            self._counters("__http__").add(http_errors_injected=1)
             return "error"
         if index in cfg.http_reset_at and (key, "reset") not in self._fired:
             self._fired.add((key, "reset"))
-            self._counters("__http__").http_resets_injected += 1
+            self._counters("__http__").add(http_resets_injected=1)
             return "reset"
         if cfg.http_error_rate > 0.0 and (
             self._rng("__http__").random() < cfg.http_error_rate
         ):
-            self._counters("__http__").http_errors_injected += 1
+            self._counters("__http__").add(http_errors_injected=1)
             return "error"
         if cfg.http_reset_rate > 0.0 and (
             self._rng("__http__").random() < cfg.http_reset_rate
         ):
-            self._counters("__http__").http_resets_injected += 1
+            self._counters("__http__").add(http_resets_injected=1)
             return "reset"
         return None
 

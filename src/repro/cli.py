@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import __version__
+from repro.metrics import format_counts
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -387,7 +388,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     result = FacilityEngine(config).run()
     if result.fault_truth is not None:
         print(result.fault_truth.summary())
-        print(f"ingest counters: {result.database.counters.as_dict()}")
+        print(f"ingest counters: {format_counts(result.database.counters.as_dict())}")
     args.out.mkdir(parents=True, exist_ok=True)
     telemetry_path = args.out / "telemetry.csv"
     ras_path = args.out / "ras.jsonl"
@@ -451,15 +452,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             f"reused {info.reused_chunks})"
         )
         if store.enabled and section_cache is not False:
-            counters = store.counters.as_dict()
             print(f"section cache at {store.root}:")
-            print("  " + ", ".join(f"{k}={v}" for k, v in counters.items()))
+            print("  " + format_counts(store.counters.as_dict()))
         else:
             print("section cache: disabled")
-        print(
-            "dataset cache: "
-            + ", ".join(f"{k}={v}" for k, v in CACHE_FAILURES.items())
-        )
+        print(f"dataset cache: {format_counts(CACHE_FAILURES.as_dict())}")
     return 0
 
 
@@ -613,7 +610,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         f"speedup ~{report.bus.achieved_speedup:.0f}x)"
     )
     for name, counters in report.bus.subscribers.items():
-        print(f"  {name}: {counters.as_dict()}")
+        print(f"  {name}: {format_counts(counters.as_dict())}")
     print(f"rollup buckets: {report.rollup_buckets}")
     if report.alarms:
         print(f"CUSUM alarms: {len(report.alarms)}")
@@ -625,7 +622,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             Query("aggregate", Channel.POWER, start, end, stat=stat)
         )
         print(f"  power {stat} over replay: {answer.value:.3f} {unit}".rstrip())
-    print(f"query cache: {service.engine.cache_info().as_dict()}")
+    print(f"query cache: {format_counts(service.engine.cache_info())}")
     return 0
 
 
@@ -693,14 +690,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(f"  {when:%Y-%m-%d %H:%M}  {value:.4f}")
     else:
         print(f"{args.stat}({channel.column}) [{args.scope}] = {answer.value:.6f}")
-    info = engine.cache_info()
-    if args.stats:
-        print("cache statistics:")
-        for key, value in info.as_dict().items():
-            formatted = f"{value:.3f}" if key == "hit_rate" else f"{value}"
-            print(f"  {key:<14} {formatted}")
-    else:
-        print(f"cache: {info.as_dict()}")
+    info = engine.cache_info() if args.stats else engine.counters.as_dict()
+    print(f"query cache: {format_counts(info)}")
     return 0
 
 
@@ -783,12 +774,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         if app.gateway is not None:
             app.gateway.finalize()
         server.stop()
-    counters = app.counters
-    print(
-        f"served {counters.requests} requests "
-        f"({counters.client_errors} client errors, "
-        f"{counters.server_errors} server errors)"
-    )
+    print(f"request counters: {format_counts(app.counters.as_dict())}")
     return 0
 
 

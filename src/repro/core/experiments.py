@@ -361,15 +361,14 @@ def _fold_state(
 
     prior = store.load_state(state_id, cfg_digest)
     state, outcome = advance_state(result.database, state_id, prior, digest_info)
-    counters = store.counters
     if outcome == "hit":
-        counters.state_hits += 1
+        store.counters.add(state_hits=1)
     elif outcome == "append":
-        counters.state_appends += 1
+        store.counters.add(state_appends=1)
     elif outcome == "invalidated":
-        counters.invalidations += 1
+        store.counters.add(invalidations=1)
     else:
-        counters.state_misses += 1
+        store.counters.add(state_misses=1)
     if outcome != "hit":
         store.store_state(state_id, cfg_digest, state)
     return state.payload

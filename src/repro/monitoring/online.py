@@ -33,6 +33,7 @@ out-of-order samples raise ``ValueError``.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
@@ -41,6 +42,7 @@ import numpy as np
 from repro import constants, timeutil
 from repro.core.prediction import FEATURE_LAGS_H, build_dataset
 from repro.facility.topology import RackId
+from repro.metrics import Counters
 from repro.ml.network import NeuralNetwork
 from repro.ml.train import TrainConfig, TrainResult, train_classifier
 from repro.simulation.windows import LeadupWindow
@@ -86,27 +88,23 @@ class Prediction:
     probability: float
 
 
-@dataclasses.dataclass
-class PredictorCounters:
+class PredictorCounters(Counters):
     """Observability counters for every degraded-stream decision."""
 
     #: Samples offered (rows of :meth:`OnlineCmfPredictor.consume_block`).
-    consumed: int = 0
+    consumed: int
     #: Predictions emitted.
-    predictions: int = 0
+    predictions: int
     #: Individual channel values filled by carry-forward.
-    locf_fills: int = 0
+    locf_fills: int
     #: Samples dropped because too stale/incomplete to repair.
-    dropped_incomplete: int = 0
+    dropped_incomplete: int
     #: Samples dropped for arriving behind the rack's newest timestamp.
-    dropped_late: int = 0
+    dropped_late: int
     #: Samples dropped for duplicating the rack's newest timestamp.
-    dropped_duplicate: int = 0
+    dropped_duplicate: int
     #: Rack histories reset after a silent gap.
-    gap_resets: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
+    gap_resets: int
 
 
 class _RackHistory:
@@ -335,7 +333,6 @@ class OnlineCmfPredictor:
                 f"values must have shape ({n}, {len(PREDICTOR_CHANNELS)}), "
                 f"got {block.shape}"
             )
-        counters = self.counters
         history = self._rack(rack_id)
         if history is not None:
             history.reserve(n)
@@ -344,51 +341,57 @@ class OnlineCmfPredictor:
         # (history, start, end, epoch) snapshots; feature extraction is
         # deferred so it can run batched once the block is absorbed.
         pending: List[tuple] = []
-        for i, epoch in enumerate(epochs.tolist()):
-            counters.consumed += 1
-            row = block[i]
-            if history is not None and history.size:
-                last = history.last_time
-                if epoch < last:
-                    if self.strict:
-                        raise ValueError(
-                            "samples must arrive in time order per rack"
-                        )
-                    counters.dropped_late += 1
-                    continue
-                if not self.strict and epoch == last:
-                    counters.dropped_duplicate += 1
-                    continue
-                if epoch - last > self.gap_reset_s:
-                    # The stream went silent; interpolating across the
-                    # gap would fabricate six hours of physics.  Start over.
-                    self.reset(rack_id)
-                    history = None
-                    counters.gap_resets += 1
-            if not complete[i]:
-                holes = ~finite[i]
-                donor = None
-                if (
-                    history is not None
-                    and history.size
-                    and epoch - history.last_time <= self.locf_staleness_s
-                ):
-                    donor = history.last_row
-                if donor is None or not np.isfinite(donor[holes]).all():
-                    counters.dropped_incomplete += 1
-                    continue
-                row = np.where(holes, donor, row)
-                counters.locf_fills += int(holes.sum())
-            if history is None:
-                history = _RackHistory(len(PREDICTOR_CHANNELS))
-                history.reserve(n - i)
-                self._history[rack_id] = history
-            history.append(epoch, row)
-            history.prune_before(epoch - self._span_s)
-            if self._ready(history):
-                counters.predictions += 1
-                start = history.start
-                pending.append((history, start, start + history.size, epoch))
+        # Counted in locals and added once per block: a locked bump
+        # costs about a microsecond, too much to pay per row.
+        consumed = 0
+        tally: "collections.Counter[str]" = collections.Counter()
+        try:
+            for i, epoch in enumerate(epochs.tolist()):
+                consumed += 1
+                row = block[i]
+                if history is not None and history.size:
+                    last = history.last_time
+                    if epoch < last:
+                        if self.strict:
+                            raise ValueError(
+                                "samples must arrive in time order per rack"
+                            )
+                        tally["dropped_late"] += 1
+                        continue
+                    if not self.strict and epoch == last:
+                        tally["dropped_duplicate"] += 1
+                        continue
+                    if epoch - last > self.gap_reset_s:
+                        # The stream went silent; interpolating across the
+                        # gap would fabricate six hours of physics.  Start over.
+                        self.reset(rack_id)
+                        history = None
+                        tally["gap_resets"] += 1
+                if not complete[i]:
+                    holes = ~finite[i]
+                    donor = None
+                    if (
+                        history is not None
+                        and history.size
+                        and epoch - history.last_time <= self.locf_staleness_s
+                    ):
+                        donor = history.last_row
+                    if donor is None or not np.isfinite(donor[holes]).all():
+                        tally["dropped_incomplete"] += 1
+                        continue
+                    row = np.where(holes, donor, row)
+                    tally["locf_fills"] += int(holes.sum())
+                if history is None:
+                    history = _RackHistory(len(PREDICTOR_CHANNELS))
+                    history.reserve(n - i)
+                    self._history[rack_id] = history
+                history.append(epoch, row)
+                history.prune_before(epoch - self._span_s)
+                if self._ready(history):
+                    start = history.start
+                    pending.append((history, start, start + history.size, epoch))
+        finally:
+            self.counters.add(consumed=consumed, predictions=len(pending), **tally)
         if not pending:
             return []
         features: List[np.ndarray] = []
@@ -477,7 +480,7 @@ class OnlineCmfPredictor:
         restores only the streaming state around it.
         """
         return {
-            "counters": dataclasses.replace(self.counters),
+            "counters": self.counters.as_dict(),
             "history": {
                 rack_id: (history.times_view.copy(), history.values_view.copy())
                 for rack_id, history in self._history.items()
@@ -491,7 +494,7 @@ class OnlineCmfPredictor:
         window, so rebuilding each ring buffer front-aligned is
         bit-identical to the pre-crash layout.
         """
-        self.counters = dataclasses.replace(state["counters"])
+        self.counters = PredictorCounters(**state["counters"])
         self._history = {}
         for rack_id, (times, values) in state["history"].items():
             n = len(times)

@@ -56,7 +56,6 @@ from repro.service.durability import (
 from repro.service.live import LiveOperationsService, ServiceConfig, ServiceReport
 from repro.service.query import (
     CacheCounters,
-    CacheInfo,
     Query,
     QueryEngine,
     QueryResult,
@@ -99,7 +98,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceReport",
     "CacheCounters",
-    "CacheInfo",
     "IngestClient",
     "IngestGateway",
     "IngestServerConfig",

@@ -54,6 +54,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 import numpy as np
 
+from repro.metrics import Counters
 from repro.telemetry.database import EnvironmentalDatabase
 from repro.telemetry.records import Channel
 
@@ -93,8 +94,7 @@ class BusChunk:
         return self.start_seq + len(self.epoch_s) - 1
 
 
-@dataclasses.dataclass
-class SubscriberCounters:
+class SubscriberCounters(Counters):
     """Observability counters for one subscription.
 
     ``enqueued``/``delivered``/``dropped``/``coalesced`` count
@@ -105,30 +105,27 @@ class SubscriberCounters:
     """
 
     #: Samples appended to the subscriber's queue.
-    enqueued: int = 0
+    enqueued: int
     #: Samples whose callback completed.
-    delivered: int = 0
+    delivered: int
     #: Samples evicted under ``drop_oldest``.
-    dropped: int = 0
+    dropped: int
     #: Samples superseded under ``coalesce``.
-    coalesced: int = 0
+    coalesced: int
     #: Chunks appended to the subscriber's queue.
-    enqueued_chunks: int = 0
+    enqueued_chunks: int
     #: Chunks fully processed by the consumer.
-    delivered_chunks: int = 0
+    delivered_chunks: int
     #: Whole chunks evicted under ``drop_oldest``.
-    dropped_chunks: int = 0
+    dropped_chunks: int
     #: Whole chunks superseded under ``coalesce``.
-    coalesced_chunks: int = 0
+    coalesced_chunks: int
     #: Callback exceptions (swallowed; the stream continues).
-    errors: int = 0
+    errors: int
     #: Deepest queue backlog observed at publish time, in chunks.
-    max_queue_depth: int = 0
+    max_queue_depth: int
     #: Largest published-but-unprocessed sample count observed.
-    max_lag: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
+    max_lag: int
 
 
 class Subscription:
@@ -185,22 +182,17 @@ class Subscription:
             if len(self._queue) >= self.capacity and self.policy != "block":
                 if self.policy == "drop_oldest":
                     evicted = self._queue.popleft()
-                    counters.dropped += len(evicted)
-                    counters.dropped_chunks += 1
+                    counters.add(dropped=len(evicted), dropped_chunks=1)
                 else:  # coalesce: the incoming chunk supersedes the newest
                     evicted = self._queue.pop()
-                    counters.coalesced += len(evicted)
-                    counters.coalesced_chunks += 1
+                    counters.add(coalesced=len(evicted), coalesced_chunks=1)
             self._queue.append(chunk)
-            counters.enqueued += size
-            counters.enqueued_chunks += 1
-            depth = len(self._queue)
-            if depth > counters.max_queue_depth:
-                counters.max_queue_depth = depth
+            counters.add(enqueued=size, enqueued_chunks=1)
             processed = counters.delivered + counters.dropped + counters.coalesced
-            lag = chunk.end_seq + 1 - processed
-            if lag > counters.max_lag:
-                counters.max_lag = lag
+            counters.peak(
+                max_queue_depth=len(self._queue),
+                max_lag=chunk.end_seq + 1 - processed,
+            )
             self._cond.notify()
 
     def set_policy(self, policy: str) -> None:
@@ -252,11 +244,8 @@ class Subscription:
             try:
                 self.callback(chunk)
             except Exception:
-                with self._cond:
-                    self.counters.errors += 1
-            with self._cond:
-                self.counters.delivered += len(chunk)
-                self.counters.delivered_chunks += 1
+                self.counters.add(errors=1)
+            self.counters.add(delivered=len(chunk), delivered_chunks=1)
 
     @property
     def backlog(self) -> int:
@@ -469,8 +458,6 @@ class ReplayBus:
             published=self.published,
             duration_s=duration,
             simulated_span_s=(last_epoch - first_epoch) if self.published else 0.0,
-            subscribers={
-                s.name: dataclasses.replace(s.counters) for s in self._subscriptions
-            },
+            subscribers={s.name: s.counters.copy() for s in self._subscriptions},
             published_chunks=self.published_chunks,
         )

@@ -54,7 +54,7 @@ __all__ = [
 WAL_MAGIC = b"RWAL1\n"
 
 #: Snapshot file magic; bump when the snapshot record changes.
-SNAPSHOT_MAGIC = b"repro-snapshot-v1"
+SNAPSHOT_MAGIC = b"repro-snapshot-v2"
 
 
 class RecoveryError(RuntimeError):

@@ -14,8 +14,8 @@ Method   Path                       Serves
 =======  =========================  ==========================================
 GET      ``/``                      route table (this table, as JSON)
 GET      ``/healthz``               liveness + dataset identity
-GET      ``/metrics``               serve/ingest/supervisor counters,
-                                    cache hit rates
+GET      ``/metrics``               request/cache/serve/ingest counters,
+                                    cache hit rate, dataset-cache failures
 GET      ``/v1/query/point``        one statistic at one instant
 GET      ``/v1/query/series``       per-bucket statistics over a window
 GET      ``/v1/query/aggregate``    one statistic over a whole window
@@ -31,12 +31,12 @@ never dies.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro import __version__
+from repro.metrics import Counters
 from repro.service.http.ingest import IngestGateway, IngestServerConfig
 from repro.service.http.protocol import (
     API_VERSION,
@@ -57,7 +57,7 @@ MAX_SERIES_POINTS = 100_000
 _ROUTE_TABLE = {
     "GET /": "this route table",
     "GET /healthz": "liveness and dataset identity",
-    "GET /metrics": "serve/ingest/cache/supervision counters",
+    "GET /metrics": "request/cache/serve/ingest/dataset-cache counters",
     "GET /v1/query/point": "one statistic at one instant",
     "GET /v1/query/series": "per-bucket statistics over a window",
     "GET /v1/query/aggregate": "one statistic over a whole window",
@@ -65,20 +65,20 @@ _ROUTE_TABLE = {
 }
 
 
-@dataclasses.dataclass
-class RequestCounters:
+class RequestCounters(Counters):
     """Server-side request observability (rendered by ``/metrics``)."""
 
-    requests: int = 0
-    served: int = 0
-    client_errors: int = 0
-    server_errors: int = 0
-    chaos_errors: int = 0
-    chaos_resets: int = 0
-    by_route: Dict[str, int] = dataclasses.field(default_factory=dict)
+    requests: int
+    served: int
+    client_errors: int
+    server_errors: int
 
-    def as_dict(self) -> Dict:
-        return dataclasses.asdict(self)
+
+class RouteCounters(Counters):
+    """Requests per ``_ROUTE_TABLE`` route; every other path counts as
+    ``other``, so unknown paths cannot grow ``/metrics``."""
+
+    __annotations__ = dict.fromkeys((*_ROUTE_TABLE, "other"), "int")
 
 
 class OperationsApp:
@@ -93,8 +93,6 @@ class OperationsApp:
             answers 503 ``read_only``.
         chaos: Optional :class:`~repro.chaos.ChaosInjector` consulted
             once per request (the HTTP fault hook).
-        service: Optional live service whose supervision counters
-            ``/metrics`` should include.
         max_series_points: Refusal bound for series payloads.
         database: Optional backing telemetry database; when present,
             ``/metrics`` reports its chunked content address so
@@ -107,18 +105,17 @@ class OperationsApp:
         engine: QueryEngine,
         gateway: Optional[IngestGateway] = None,
         chaos=None,
-        service=None,
         max_series_points: int = MAX_SERIES_POINTS,
         database: Optional[EnvironmentalDatabase] = None,
     ) -> None:
         self.engine = engine
         self.gateway = gateway
         self.chaos = chaos
-        self.service = service
         self.max_series_points = max_series_points
         self.database = database
         self.counters = RequestCounters()
-        self._counter_lock = threading.Lock()
+        self.routes = RouteCounters()
+        self._index_lock = threading.Lock()
         self._request_index = -1
         self._started = time.monotonic()
 
@@ -152,7 +149,7 @@ class OperationsApp:
 
     def next_request_index(self) -> int:
         """The server's monotone arrival counter (chaos schedule key)."""
-        with self._counter_lock:
+        with self._index_lock:
             self._request_index += 1
             return self._request_index
 
@@ -170,7 +167,6 @@ class OperationsApp:
         always a JSON-serializable dict — either a success envelope or
         the structured error envelope.
         """
-        route = f"{method} {path}"
         try:
             status, payload, extra = self._dispatch(
                 method, path, params, body, headers or {}
@@ -183,15 +179,14 @@ class OperationsApp:
                 500, "internal", f"{type(exc).__name__}: {exc}"
             ).payload()
             extra = {}
-        with self._counter_lock:
-            self.counters.requests += 1
-            self.counters.by_route[route] = self.counters.by_route.get(route, 0) + 1
-            if status < 400:
-                self.counters.served += 1
-            elif status < 500:
-                self.counters.client_errors += 1
-            else:
-                self.counters.server_errors += 1
+        if status < 400:
+            self.counters.add(requests=1, served=1)
+        elif status < 500:
+            self.counters.add(requests=1, client_errors=1)
+        else:
+            self.counters.add(requests=1, server_errors=1)
+        route = f"{method} {path}"
+        self.routes.add(**{route if route in _ROUTE_TABLE else "other": 1})
         return status, payload, extra
 
     def _dispatch(
@@ -311,11 +306,24 @@ class OperationsApp:
 
     def metrics(self) -> Dict:
         """The ``/metrics`` document."""
+        from repro.simulation.datasets import CACHE_FAILURES
+
+        # HTTP faults are counted once, by the injector that fires them.
+        http_chaos = (
+            self.chaos.counters.get("__http__") if self.chaos is not None else None
+        )
+        injected = http_chaos.as_dict() if http_chaos is not None else {}
         payload: Dict = {
             "api_version": API_VERSION,
-            "server": self._counters_snapshot(),
-            "cache": self.engine.cache_info().as_dict(),
-            "serve": self.engine.serve_info(),
+            "server": {
+                **self.counters.as_dict(),
+                "chaos_errors": injected.get("http_errors_injected", 0),
+                "chaos_resets": injected.get("http_resets_injected", 0),
+                "by_route": self.routes.as_dict(),
+            },
+            "cache": self.engine.cache_info(),
+            "serve": self.engine.serve_counters.as_dict(),
+            "dataset_cache": CACHE_FAILURES.as_dict(),
             "store": {
                 "version": self.engine.store.version,
                 "ingested_rows": self.engine.store.ingested_rows,
@@ -352,24 +360,7 @@ class OperationsApp:
             payload["section_cache"] = _error_block(exc)
         if self.gateway is not None:
             payload["ingest"] = self.gateway.metrics()
-        if self.service is not None:
-            payload["supervision"] = {
-                name: counters.as_dict()
-                for name, counters in self.service.supervisor.counters.items()
-            }
         return payload
-
-    def _counters_snapshot(self) -> Dict:
-        with self._counter_lock:
-            return self.counters.as_dict()
-
-    def record_chaos(self, action: str) -> None:
-        """Count a chaos-injected fault (called by the server layer)."""
-        with self._counter_lock:
-            if action == "error":
-                self.counters.chaos_errors += 1
-            else:
-                self.counters.chaos_resets += 1
 
 
 def _error_block(exc: Exception) -> Dict[str, str]:

@@ -23,22 +23,21 @@ own bug and raises immediately.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import time
 import urllib.error
 import urllib.request
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import constants
-from repro.facility.topology import RackId
+from repro.metrics import Counters
 from repro.service.http.protocol import API_VERSION, encode_batch
-from repro.telemetry.records import CHANNELS, Channel, Quality
-from repro.telemetry.schema import telemetry_header
+from repro.telemetry.export import iter_telemetry_csv
+from repro.telemetry.records import CHANNELS, Channel
 
 PathLike = Union[str, Path]
 
@@ -95,20 +94,16 @@ class RetryPolicy:
         )
 
 
-@dataclasses.dataclass
-class ClientCounters:
+class ClientCounters(Counters):
     """What one client did, for tests and collector logs."""
 
-    batches_posted: int = 0
-    rows_posted: int = 0
-    retries: int = 0
-    backpressure_hits: int = 0
-    transport_failures: int = 0
-    server_errors: int = 0
-    give_ups: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
+    batches_posted: int
+    rows_posted: int
+    retries: int
+    backpressure_hits: int
+    transport_failures: int
+    server_errors: int
+    give_ups: int
 
 
 class IngestClient:
@@ -157,8 +152,9 @@ class IngestClient:
         """
         payload = encode_batch(self.collector, epoch_s, channels, quality)
         response = self._post_with_retries("/v1/ingest", payload)
-        self.counters.batches_posted += 1
-        self.counters.rows_posted += int(np.asarray(epoch_s).shape[0])
+        self.counters.add(
+            batches_posted=1, rows_posted=int(np.asarray(epoch_s).shape[0])
+        )
         return response
 
     def get_json(self, path: str) -> Dict:
@@ -194,7 +190,7 @@ class IngestClient:
             except urllib.error.HTTPError as exc:
                 status, error_type, message = _decode_http_error(exc)
                 if status == 429:
-                    self.counters.backpressure_hits += 1
+                    self.counters.add(backpressure_hits=1)
                     retry_after = exc.headers.get("Retry-After")
                     if retry_after is not None:
                         try:
@@ -202,7 +198,7 @@ class IngestClient:
                         except ValueError:
                             delay = None
                 elif status >= 500:
-                    self.counters.server_errors += 1
+                    self.counters.add(server_errors=1)
                 else:
                     # A non-transient refusal (bad batch, bad auth):
                     # retrying cannot help.
@@ -214,10 +210,10 @@ class IngestClient:
             except (urllib.error.URLError, ConnectionError, TimeoutError):
                 # Connection refused/reset mid-exchange (chaos drills
                 # inject exactly this) — retryable.
-                self.counters.transport_failures += 1
+                self.counters.add(transport_failures=1)
                 status, error_type, message = None, None, "transport failure"
             if retries >= self.retry.max_attempts - 1:
-                self.counters.give_ups += 1
+                self.counters.add(give_ups=1)
                 raise IngestClientError(
                     f"gave up after {self.retry.max_attempts} attempts "
                     f"(last: {message})",
@@ -226,7 +222,7 @@ class IngestClient:
                 )
             self._sleep(delay if delay is not None else self.retry.delay_s(retries))
             retries += 1
-            self.counters.retries += 1
+            self.counters.add(retries=1)
 
 
 def _decode_http_error(exc: urllib.error.HTTPError) -> Tuple[int, str, str]:
@@ -274,59 +270,6 @@ class FileImportCollector:
         self.num_racks = num_racks
         self.batch_samples = batch_samples
 
-    def iter_samples(
-        self,
-    ) -> Iterator[Tuple[float, Dict[Channel, np.ndarray], Dict[Channel, np.ndarray], bool]]:
-        """Yield ``(epoch, values, quality, has_explicit)`` per sample.
-
-        ``values`` rows are NaN where the file is empty; ``quality``
-        rows carry the full flag vector (derived OK/MISSING plus any
-        explicit override), with ``has_explicit`` marking samples where
-        at least one cell's flag was spelled out in the file.
-        """
-        with open(self.path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            if header == telemetry_header(include_quality=True):
-                with_quality = True
-            elif header == telemetry_header(include_quality=False):
-                with_quality = False
-            else:
-                raise ValueError(f"unexpected telemetry header: {header}")
-            channel_count = len(CHANNELS)
-            pending: Optional[float] = None
-            values: Dict[Channel, np.ndarray] = {}
-            flags: Dict[Channel, np.ndarray] = {}
-            explicit = False
-
-            def fresh() -> None:
-                for ch in CHANNELS:
-                    values[ch] = np.full(self.num_racks, np.nan)
-                    flags[ch] = np.full(
-                        self.num_racks, int(Quality.MISSING), dtype=np.uint8
-                    )
-
-            for row in reader:
-                epoch = float(row[0])
-                rack = RackId.parse(row[1]).flat_index
-                if epoch != pending:
-                    if pending is not None:
-                        yield pending, dict(values), dict(flags), explicit
-                    pending = epoch
-                    fresh()
-                    explicit = False
-                for channel, cell in zip(CHANNELS, row[2 : 2 + channel_count]):
-                    if cell != "":
-                        values[channel][rack] = float(cell)
-                        flags[channel][rack] = int(Quality.OK)
-                if with_quality:
-                    for channel, cell in zip(CHANNELS, row[2 + channel_count :]):
-                        if cell != "":
-                            flags[channel][rack] = int(cell)
-                            explicit = True
-            if pending is not None:
-                yield pending, dict(values), dict(flags), explicit
-
     def run(self) -> int:
         """Post the whole file; returns the number of samples sent.
 
@@ -360,7 +303,9 @@ class FileImportCollector:
                 flag_rows[ch].clear()
             batch_explicit = False
 
-        for epoch, values, flags, explicit in self.iter_samples():
+        for epoch, values, flags, explicit in iter_telemetry_csv(
+            self.path, self.num_racks
+        ):
             epochs.append(epoch)
             for ch in CHANNELS:
                 value_rows[ch].append(values[ch])

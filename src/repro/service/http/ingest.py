@@ -31,6 +31,7 @@ import hmac
 import threading
 from typing import Dict, Mapping, Optional
 
+from repro.metrics import Counters
 from repro.service.http.protocol import API_VERSION, ApiError, IngestBatch
 from repro.service.rollup import RollupStore
 from repro.telemetry.database import EnvironmentalDatabase
@@ -61,19 +62,15 @@ class IngestServerConfig:
             raise ValueError("max_pending must be >= 1")
 
 
-@dataclasses.dataclass
-class GatewayCounters:
+class GatewayCounters(Counters):
     """Observability counters for the ingest front door."""
 
-    batches_accepted: int = 0
-    rows_received: int = 0
-    rows_committed: int = 0
-    quality_override_rows: int = 0
-    rejected_unauthorized: int = 0
-    rejected_backpressure: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
+    batches_accepted: int
+    rows_received: int
+    rows_committed: int
+    quality_override_rows: int
+    rejected_unauthorized: int
+    rejected_backpressure: int
 
 
 class IngestGateway:
@@ -132,8 +129,7 @@ class IngestGateway:
             or token is None
             or not hmac.compare_digest(expected, token)
         ):
-            with self._lock:
-                self.counters.rejected_unauthorized += 1
+            self.counters.add(rejected_unauthorized=1)
             raise ApiError(
                 401, "unauthorized", "unknown collector or bad token"
             )
@@ -150,8 +146,7 @@ class IngestGateway:
                 structured error.
         """
         if not self._slots.acquire(blocking=False):
-            with self._lock:
-                self.counters.rejected_backpressure += 1
+            self.counters.add(rejected_backpressure=1)
             raise ApiError(
                 429,
                 "backpressure",
@@ -184,14 +179,13 @@ class IngestGateway:
             # The strict policy's delivery-order contract, surfaced as
             # a structured client error rather than a 500.
             raise ApiError(400, "rejected_by_policy", str(exc)) from None
-        self.counters.batches_accepted += 1
-        self.counters.rows_received += batch.num_samples
+        self.counters.add(batches_accepted=1, rows_received=batch.num_samples)
         if batch.quality:
             # Strict commit is contiguous: the batch occupies rows
             # [before, before + n).
             for channel, flags in batch.quality.items():
                 database.overwrite_quality(channel, before, flags)
-            self.counters.quality_override_rows += batch.num_samples
+            self.counters.add(quality_override_rows=batch.num_samples)
         self._fold_committed()
         return {
             "api_version": API_VERSION,
@@ -213,7 +207,7 @@ class IngestGateway:
             self._folded, committed
         )
         self.rollups.add_block(epochs, values, quality)
-        self.counters.rows_committed += committed - self._folded
+        self.counters.add(rows_committed=committed - self._folded)
         self._folded = committed
 
     def finalize(self) -> None:

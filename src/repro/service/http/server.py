@@ -68,7 +68,6 @@ class _OperationsHandler(BaseHTTPRequestHandler):
         if app.chaos is not None:
             action = app.chaos.on_http_request(app.next_request_index())
             if action == "reset":
-                app.record_chaos("reset")
                 # Hard reset: RST instead of FIN so clients observe a
                 # genuine connection failure, not an empty response.
                 self.connection.setsockopt(
@@ -79,7 +78,6 @@ class _OperationsHandler(BaseHTTPRequestHandler):
                 self.close_connection = True
                 return
             if action == "error":
-                app.record_chaos("error")
                 self._respond(
                     500,
                     ApiError(

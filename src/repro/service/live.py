@@ -318,11 +318,11 @@ class LiveOperationsService:
             alarms=tuple(alarms),
             predictions=predictions,
             rollup_buckets=self.rollups.bucket_counts(),
-            cache=self.engine.cache_info().as_dict(),
+            cache=self.engine.cache_info(),
             supervision=self.supervisor.counters,
             events=self.supervisor.events,
             chaos=(
-                {k: dataclasses.replace(v) for k, v in self.chaos.counters.items()}
+                {k: v.copy() for k, v in self.chaos.counters.items()}
                 if self.chaos is not None
                 else {}
             ),

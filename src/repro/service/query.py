@@ -54,6 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import constants
+from repro.metrics import Counters
 from repro.parallel import resolve_workers
 from repro.service.rollup import BucketWindow, RollupStore
 from repro.telemetry import nanstats
@@ -132,71 +133,32 @@ class QueryResult:
         return self.error is None
 
 
-@dataclasses.dataclass
-class CacheCounters:
+class CacheCounters(Counters):
     """Cache observability."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    #: Entries recomputed because new data touched their window.
-    invalidations: int = 0
-    #: Entries kept after a version check proved their window clean.
-    revalidations: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-@dataclasses.dataclass
-class ServeCounters:
-    """Batch-path (``serve_many``) observability."""
-
-    #: Queries answered successfully.
-    served: int = 0
-    #: Queries that raised (returned as structured-error results).
-    errors: int = 0
-    #: Queries cut off by the per-query deadline.
-    timeouts: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
-
-
-@dataclasses.dataclass(frozen=True)
-class CacheInfo:
-    """One consistent snapshot of the query-cache counters.
-
-    Returned by :meth:`QueryEngine.cache_info` so external reporters —
-    the HTTP ``/metrics`` endpoint, ``repro query --stats`` — get the
-    counters, occupancy, and derived hit rate as one immutable value
-    instead of reaching into engine internals.
-    """
 
     hits: int
     misses: int
     evictions: int
+    #: Entries recomputed because new data touched their window.
     invalidations: int
+    #: Entries kept after a version check proved their window clean.
     revalidations: int
-    #: Entries currently cached.
-    entries: int
-    #: Maximum entries (the LRU bound).
-    capacity: int
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def as_dict(self) -> Dict[str, float]:
-        info = dataclasses.asdict(self)
-        info["hit_rate"] = self.hit_rate
-        return info
+
+class ServeCounters(Counters):
+    """Batch-path (``serve_many``) observability."""
+
+    #: Queries answered successfully.
+    served: int
+    #: Queries that raised (returned as structured-error results).
+    errors: int
+    #: Queries cut off by the per-query deadline.
+    timeouts: int
 
 
 @dataclasses.dataclass
@@ -316,7 +278,7 @@ class QueryEngine:
         with self._lock:
             entry = self._cache.get(query)
             if entry is None:
-                self.counters.misses += 1
+                self.counters.add(misses=1)
                 return None
             current = self.store.version
             if entry.version != current:
@@ -324,13 +286,12 @@ class QueryEngine:
                 if earliest < self._window_end(query):
                     # New data landed inside the window: recompute.
                     del self._cache[query]
-                    self.counters.invalidations += 1
-                    self.counters.misses += 1
+                    self.counters.add(invalidations=1, misses=1)
                     return None
                 entry.version = current
-                self.counters.revalidations += 1
+                self.counters.add(revalidations=1)
             self._cache.move_to_end(query)
-            self.counters.hits += 1
+            self.counters.add(hits=1)
             return entry.result, entry.version
 
     def _earliest_since(self, version: int, current: int) -> float:
@@ -350,20 +311,19 @@ class QueryEngine:
             self._cache.move_to_end(query)
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
-                self.counters.evictions += 1
+                self.counters.add(evictions=1)
 
-    def cache_info(self) -> CacheInfo:
-        """A consistent :class:`CacheInfo` snapshot (taken under the lock)."""
-        with self._lock:
-            return CacheInfo(
-                hits=self.counters.hits,
-                misses=self.counters.misses,
-                evictions=self.counters.evictions,
-                invalidations=self.counters.invalidations,
-                revalidations=self.counters.revalidations,
-                entries=len(self._cache),
-                capacity=self.cache_size,
-            )
+    def cache_info(self) -> Dict[str, float]:
+        """The cache counters plus ``entries`` (currently cached),
+        ``capacity`` (maximum entries, the LRU bound) and the derived
+        ``hit_rate``, as one plain dict."""
+        counters = self.counters.copy()
+        return {
+            **counters.as_dict(),
+            "entries": len(self._cache),
+            "capacity": self.cache_size,
+            "hit_rate": counters.hit_rate,
+        }
 
     # -- execution ----------------------------------------------------------------
 
@@ -436,20 +396,14 @@ class QueryEngine:
         try:
             result = self.execute(query)
         except Exception as exc:  # noqa: BLE001 - the batch isolation boundary
-            with self._lock:
-                self.serve_counters.errors += 1
+            self.serve_counters.add(errors=1)
             return QueryResult(
                 query=query,
                 resolution_s=float("nan"),
                 error=f"{type(exc).__name__}: {exc}",
             )
-        with self._lock:
-            self.serve_counters.served += 1
+        self.serve_counters.add(served=1)
         return result
-
-    def serve_info(self) -> Dict[str, int]:
-        with self._lock:
-            return self.serve_counters.as_dict()
 
     def serve_many(
         self,
@@ -488,8 +442,7 @@ class QueryEngine:
                     results.append(future.result(timeout=timeout_s))
                 except _FuturesTimeout:
                     abandoned = True
-                    with self._lock:
-                        self.serve_counters.timeouts += 1
+                    self.serve_counters.add(timeouts=1)
                     results.append(
                         QueryResult(
                             query=query,

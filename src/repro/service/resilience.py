@@ -46,6 +46,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.chaos import ChaosInjector
+from repro.metrics import Counters
 from repro.service.bus import BusChunk, Subscription
 from repro.telemetry.database import EnvironmentalDatabase
 from repro.telemetry.records import CHANNELS
@@ -112,37 +113,33 @@ class SupervisorConfig:
         )
 
 
-@dataclasses.dataclass
-class SupervisorCounters:
+class SupervisorCounters(Counters):
     """Per-subscriber supervision observability."""
 
     #: Deliveries that completed (gap repairs excluded).
-    deliveries: int = 0
+    deliveries: int
     #: Samples those deliveries carried.
-    samples_delivered: int = 0
+    samples_delivered: int
     #: Exceptions caught at the supervision boundary.
-    crashes: int = 0
+    crashes: int
     #: Times the subscriber came back from backoff.
-    restarts: int = 0
+    restarts: int
     #: Deliveries skipped while backed off or failed.
-    skipped: int = 0
+    skipped: int
     #: Samples those skipped deliveries carried.
-    samples_skipped: int = 0
+    samples_skipped: int
     #: Deliveries flagged by the watchdog as hung.
-    hangs: int = 0
+    hangs: int
     #: Hung deliveries that eventually returned.
-    hang_recoveries: int = 0
+    hang_recoveries: int
     #: Sequence gaps rebuilt from the source.
-    gaps_repaired: int = 0
+    gaps_repaired: int
     #: Samples re-fed through the consumer by gap repair.
-    samples_repaired: int = 0
+    samples_repaired: int
     #: Snapshots taken (durable subscribers only).
-    snapshots: int = 0
-    #: Crash budget exhausted; the subscriber is dead for this run.
-    gave_up: bool = False
-
-    def as_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
+    snapshots: int
+    #: Crash budget exhausted (1): the subscriber is dead for this run.
+    gave_up: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -264,16 +261,14 @@ class SupervisedSubscriber:
         start, end, count = chunk.start_seq, chunk.end_seq, len(chunk)
         with self._lock:
             if self.state == "failed":
-                self.counters.skipped += 1
-                self.counters.samples_skipped += count
+                self.counters.add(skipped=1, samples_skipped=count)
                 return
             if self.state == "backoff":
                 if time.monotonic() < self._restart_at:
-                    self.counters.skipped += 1
-                    self.counters.samples_skipped += count
+                    self.counters.add(skipped=1, samples_skipped=count)
                     return
                 self.state = "running"
-                self.counters.restarts += 1
+                self.counters.add(restarts=1)
                 self.supervisor.record(
                     "restart",
                     self.name,
@@ -294,8 +289,7 @@ class SupervisedSubscriber:
             with self._lock:
                 self.last_acked_seq = end
                 self._crashes = 0
-                self.counters.deliveries += 1
-                self.counters.samples_delivered += count
+                self.counters.add(deliveries=1, samples_delivered=count)
             self._maybe_snapshot()
         finally:
             self._settle()
@@ -307,8 +301,7 @@ class SupervisedSubscriber:
             return
         for chunk in supervisor.replayer.blocks(lo_seq, hi_seq):
             self.inner(chunk)
-        self.counters.gaps_repaired += 1
-        self.counters.samples_repaired += hi_seq - lo_seq + 1
+        self.counters.add(gaps_repaired=1, samples_repaired=hi_seq - lo_seq + 1)
         supervisor.record(
             "gap_repaired",
             self.name,
@@ -318,11 +311,11 @@ class SupervisedSubscriber:
 
     def _on_crash(self, exc: Exception, start: int) -> None:
         with self._lock:
-            self.counters.crashes += 1
+            self.counters.add(crashes=1)
             self._crashes += 1
             if self._crashes > self.supervisor.config.max_restarts:
                 self.state = "failed"
-                self.counters.gave_up = True
+                self.counters.add(gave_up=1)
                 self.supervisor.record(
                     "gave_up",
                     self.name,
@@ -352,13 +345,13 @@ class SupervisedSubscriber:
         try:
             self.snapshotter(acked)
         except Exception as exc:  # noqa: BLE001 - snapshot failure is non-fatal
-            self.counters.crashes += 1
+            self.counters.add(crashes=1)
             self.supervisor.record(
                 "crash", self.name, seq=acked, detail=f"snapshot failed: {exc!r}"
             )
             return
         self._last_snapshot_seq = acked
-        self.counters.snapshots += 1
+        self.counters.add(snapshots=1)
         self.supervisor.record("snapshot", self.name, seq=acked, detail="")
 
     def snapshot_now(self) -> None:
@@ -367,7 +360,7 @@ class SupervisedSubscriber:
             return
         self.snapshotter(self.last_acked_seq)
         self._last_snapshot_seq = self.last_acked_seq
-        self.counters.snapshots += 1
+        self.counters.add(snapshots=1)
         self.supervisor.record(
             "snapshot", self.name, seq=self.last_acked_seq, detail="final"
         )
@@ -379,7 +372,7 @@ class SupervisedSubscriber:
             if not self._hang_flagged:
                 return
             self._hang_flagged = False
-            self.counters.hang_recoveries += 1
+            self.counters.add(hang_recoveries=1)
             degraded = self._degraded
             self._degraded = False
         if degraded and self.subscription is not None:
@@ -396,7 +389,7 @@ class SupervisedSubscriber:
             if busy is None or self._hang_flagged or now - busy <= deadline_s:
                 return
             self._hang_flagged = True
-            self.counters.hangs += 1
+            self.counters.add(hangs=1)
             degrade = (
                 self.subscription is not None
                 and self.subscription.policy == "block"
@@ -474,8 +467,7 @@ class Supervisor:
     @property
     def counters(self) -> Dict[str, SupervisorCounters]:
         return {
-            name: dataclasses.replace(wrapper.counters)
-            for name, wrapper in self.subscribers.items()
+            name: wrapper.counters.copy() for name, wrapper in self.subscribers.items()
         }
 
     # -- watchdog -----------------------------------------------------------------

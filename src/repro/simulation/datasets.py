@@ -29,7 +29,6 @@ that fails are counted in :data:`CACHE_FAILURES`.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import functools
 import hashlib
@@ -41,6 +40,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro import __version__, blobfile
+from repro.metrics import Counters
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import FacilityEngine, SimulationResult
 from repro.simulation.scenarios import MiraScenario
@@ -53,10 +53,19 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 _META_FILE = "result.json"
 _TELEMETRY_DIR = "telemetry"
 
-#: What this process's dataset cache survived: ``quarantined`` entries
-#: that failed verification, ``store_failed`` builds left uncached by
-#: an I/O error.  ``repro report --stats`` prints it.
-CACHE_FAILURES = collections.Counter({"quarantined": 0, "store_failed": 0})
+
+class DatasetCacheCounters(Counters):
+    """What a process's dataset cache survived."""
+
+    #: Entries that failed verification and were quarantined.
+    quarantined: int
+    #: Builds left uncached by an I/O error.
+    store_failed: int
+
+
+#: This process's dataset-cache failures; ``repro report --stats`` and
+#: the ``/metrics`` ``dataset_cache`` block print it.
+CACHE_FAILURES = DatasetCacheCounters()
 
 
 def cache_root() -> Path:
@@ -121,7 +130,7 @@ def _load_from_disk(
             raise ValueError("manifest mismatch")
         database = TelemetryArchive.load(entry / _TELEMETRY_DIR)
     except (OSError, ValueError, KeyError):
-        CACHE_FAILURES["quarantined"] += 1
+        CACHE_FAILURES.add(quarantined=1)
         blobfile.quarantine(entry)
         return None
     # The engine constructor is deterministic and cheap relative to a
@@ -154,7 +163,7 @@ def _store_to_disk(result: SimulationResult, entry: Path) -> None:
         entry.parent.mkdir(parents=True, exist_ok=True)
         tmp = Path(tempfile.mkdtemp(dir=entry.parent, prefix=blobfile.TEMP_PREFIX))
     except OSError:
-        CACHE_FAILURES["store_failed"] += 1
+        CACHE_FAILURES.add(store_failed=1)
         return
     try:
         TelemetryArchive.save(result.database, tmp / _TELEMETRY_DIR)
@@ -172,7 +181,7 @@ def _store_to_disk(result: SimulationResult, entry: Path) -> None:
     except OSError:
         # Another session may have won the rename race, or the disk is
         # full/read-only; either way the in-memory result stands.
-        CACHE_FAILURES["store_failed"] += 1
+        CACHE_FAILURES.add(store_failed=1)
         shutil.rmtree(tmp, ignore_errors=True)
 
 

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro import constants
 from repro.facility.topology import RackId
+from repro.metrics import Counters
 from repro.telemetry import nanstats
 from repro.telemetry.digest import (
     DIGEST_CHUNK_ROWS,
@@ -111,21 +112,17 @@ class IngestPolicy:
         )
 
 
-@dataclasses.dataclass
-class IngestCounters:
+class IngestCounters(Counters):
     """Observability counters for every degraded ingest decision."""
 
     #: Rows committed to the store (pending rows count on commit).
-    accepted_rows: int = 0
+    accepted_rows: int
     #: Rows that arrived behind a newer timestamp and were re-sorted.
-    reordered_rows: int = 0
+    reordered_rows: int
     #: Rows whose timestamp matched an existing row and were resolved.
-    duplicate_rows: int = 0
+    duplicate_rows: int
     #: Rows older than the reorder window, dropped outright.
-    dropped_late_rows: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
+    dropped_late_rows: int
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -213,7 +210,8 @@ class EnvironmentalDatabase:
     def _append_row(
         self, epoch_s: float, channel_values: Dict[Channel, np.ndarray]
     ) -> None:
-        """Commit one validated row at the end of the store."""
+        """Commit one validated row at the end of the store (the caller
+        counts it, once per call rather than per row)."""
         if self._size == self._capacity:
             self._grow()
         index = self._size
@@ -225,7 +223,6 @@ class EnvironmentalDatabase:
                     np.isfinite(values), int(Quality.OK), int(Quality.MISSING)
                 )
         self._size += 1
-        self.counters.accepted_rows += 1
 
     def append_snapshot(
         self, epoch_s: float, channel_values: Dict[Channel, np.ndarray]
@@ -253,6 +250,7 @@ class EnvironmentalDatabase:
                 )
             self._append_row(epoch_s, validated)
             self._watermark = max(self._watermark, epoch_s)
+            self.counters.add(accepted_rows=1)
             return
         self._lenient_ingest(float(epoch_s), validated)
 
@@ -266,7 +264,7 @@ class EnvironmentalDatabase:
                     pending_epoch,
                     self._merge_rows(pending_values, validated),
                 )
-                self.counters.duplicate_rows += 1
+                self.counters.add(duplicate_rows=1)
                 return
         last_committed = self._epoch[self._size - 1] if self._size else -np.inf
         if epoch_s <= last_committed:
@@ -274,12 +272,12 @@ class EnvironmentalDatabase:
             index = int(np.searchsorted(self._epoch[: self._size], epoch_s))
             if index < self._size and self._epoch[index] == epoch_s:
                 self._merge_committed(index, validated)
-                self.counters.duplicate_rows += 1
+                self.counters.add(duplicate_rows=1)
             else:
-                self.counters.dropped_late_rows += 1
+                self.counters.add(dropped_late_rows=1)
             return
         if epoch_s < self._watermark:
-            self.counters.reordered_rows += 1
+            self.counters.add(reordered_rows=1)
         self._pending.append((epoch_s, validated))
         self._watermark = max(self._watermark, epoch_s)
         self._commit_ready()
@@ -347,6 +345,7 @@ class EnvironmentalDatabase:
         ready.sort(key=lambda row: row[0])
         for epoch_s, values in ready:
             self._append_row(epoch_s, values)
+        self.counters.add(accepted_rows=len(ready))
 
     def flush(self) -> None:
         """Commit every buffered row (end of stream, or before a query)."""
@@ -414,7 +413,7 @@ class EnvironmentalDatabase:
                     np.isfinite(matrix), int(Quality.OK), int(Quality.MISSING)
                 )
         self._size = end
-        self.counters.accepted_rows += count
+        self.counters.add(accepted_rows=count)
         self._watermark = max(self._watermark, float(epochs[-1]))
 
     def ingest_reading(

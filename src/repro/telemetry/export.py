@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
+from repro import constants
 from repro.facility.topology import RackId
 from repro.telemetry.database import EnvironmentalDatabase
 from repro.telemetry.ras import RasEvent, RasLog, Severity
@@ -129,13 +131,20 @@ def export_telemetry_csv(
     return rows
 
 
-def import_telemetry_csv(path: PathLike) -> EnvironmentalDatabase:
-    """Rebuild an :class:`EnvironmentalDatabase` from an exported CSV.
+def iter_telemetry_csv(
+    path: PathLike, num_racks: int = constants.NUM_RACKS
+) -> Iterator[
+    Tuple[float, Dict[Channel, np.ndarray], Dict[Channel, np.ndarray], bool]
+]:
+    """Yield ``(epoch, values, flags, explicit)`` per sample of a CSV.
 
-    Accepts both the legacy header (values only) and the current one
-    with trailing per-channel quality columns; explicit quality flags
-    are re-applied after ingest so SUSPECT/SCRUBBED verdicts survive a
-    round-trip.
+    Consecutive rows sharing a timestamp form one sample.  ``values``
+    holds one ``(num_racks,)`` vector per channel, NaN where the file
+    is empty; ``flags`` the matching quality vectors, derived from
+    NaN-ness (``OK``/``MISSING``) unless a quality column spells a flag
+    out, and ``explicit`` marks samples with at least one such cell.
+    Accepts the legacy header (values only) and the current one with
+    trailing per-channel quality columns.
 
     Raises:
         ValueError: on a malformed header.
@@ -149,48 +158,59 @@ def import_telemetry_csv(path: PathLike) -> EnvironmentalDatabase:
             with_quality = False
         else:
             raise ValueError(f"unexpected telemetry header: {header}")
-        pending_epoch = None
-        snapshot: Dict[Channel, np.ndarray] = {}
-        database = EnvironmentalDatabase()
-        sample_index = -1
-        #: (sample, rack, flag) overrides to re-apply after ingest.
-        overrides: Dict[Channel, List[Tuple[int, int, int]]] = {
-            ch: [] for ch in CHANNELS
-        }
-
-        def flush() -> None:
-            if pending_epoch is not None and snapshot:
-                database.append_snapshot(pending_epoch, snapshot)
-
         channel_count = len(CHANNELS)
+        ok, missing = int(Quality.OK), int(Quality.MISSING)
+        pending: Optional[float] = None
+        values: Dict[Channel, np.ndarray] = {}
+        flags: Dict[Channel, np.ndarray] = {}
+        explicit = False
         for row in reader:
             epoch = float(row[0])
             rack = RackId.parse(row[1]).flat_index
-            if epoch != pending_epoch:
-                flush()
-                pending_epoch = epoch
-                sample_index += 1
-                snapshot = {
-                    ch: np.full(database.num_racks, np.nan) for ch in CHANNELS
+            if epoch != pending:
+                if pending is not None:
+                    yield pending, values, flags, explicit
+                pending = epoch
+                values = {ch: np.full(num_racks, np.nan) for ch in CHANNELS}
+                flags = {
+                    ch: np.full(num_racks, missing, dtype=np.uint8) for ch in CHANNELS
                 }
+                explicit = False
             for channel, cell in zip(CHANNELS, row[2 : 2 + channel_count]):
                 if cell != "":
-                    snapshot[channel][rack] = float(cell)
+                    value = float(cell)
+                    values[channel][rack] = value
+                    flags[channel][rack] = ok if math.isfinite(value) else missing
             if with_quality:
                 for channel, cell in zip(CHANNELS, row[2 + channel_count :]):
                     if cell != "":
-                        overrides[channel].append((sample_index, rack, int(cell)))
-        flush()
+                        flags[channel][rack] = int(cell)
+                        explicit = True
+        if pending is not None:
+            yield pending, values, flags, explicit
+
+
+def import_telemetry_csv(path: PathLike) -> EnvironmentalDatabase:
+    """Rebuild an :class:`EnvironmentalDatabase` from an exported CSV.
+
+    Accepts both the legacy header (values only) and the current one
+    with trailing per-channel quality columns; explicit quality flags
+    are re-applied after ingest so SUSPECT/SCRUBBED verdicts survive a
+    round-trip.
+
+    Raises:
+        ValueError: on a malformed header.
+    """
+    database = EnvironmentalDatabase()
+    for epoch, values, flags, explicit in iter_telemetry_csv(
+        path, database.num_racks
+    ):
+        database.append_snapshot(epoch, values)
+        if explicit:
+            row = database.committed_samples - 1
+            for channel, vector in flags.items():
+                database.overwrite_quality(channel, row, vector[None, :])
     database.compact()
-    for channel, cells in overrides.items():
-        if not cells:
-            continue
-        for flag in sorted({flag for _, _, flag in cells}):
-            mask = np.zeros((database.num_samples, database.num_racks), dtype=bool)
-            for sample, rack, cell_flag in cells:
-                if cell_flag == flag:
-                    mask[sample, rack] = True
-            database.update_quality(channel, mask, Quality(flag), only_ok=False)
     return database
 
 

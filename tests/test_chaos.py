@@ -258,8 +258,9 @@ class TestHttpChaosOverServer:
             assert reply.status == 200
             assert json.loads(reply.read())["status"] == "ok"
             conn.close()
-        assert app.counters.chaos_errors == 1
-        assert app.counters.chaos_resets == 1
+        http_chaos = injector.counters["__http__"]
+        assert http_chaos.http_errors_injected == 1
+        assert http_chaos.http_resets_injected == 1
         metrics = app.metrics()
         assert metrics["server"]["chaos_errors"] == 1
         assert metrics["server"]["chaos_resets"] == 1
@@ -299,5 +300,5 @@ class TestHttpChaosOverServer:
         assert client.counters.server_errors == 1
         assert client.counters.transport_failures == 1
         assert sleeps == [0.01, 0.02]
-        assert app.counters.chaos_errors == 1
-        assert app.counters.chaos_resets == 1
+        assert app.metrics()["server"]["chaos_errors"] == 1
+        assert app.metrics()["server"]["chaos_resets"] == 1

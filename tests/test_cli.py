@@ -152,7 +152,7 @@ class TestQuery:
         assert code == 0
         output = capsys.readouterr().out
         assert "mean(power_kw) [facility] =" in output
-        assert "hits': 1" in output or '"hits": 1' in output or "'hits': 1" in output
+        assert "query cache: hits=1, misses=1" in output
 
     def test_series_query_scoped_to_row(self, capsys):
         code = main(

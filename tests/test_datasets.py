@@ -176,19 +176,29 @@ class TestDiskCache:
         build_dataset(tiny_config)
         entry = cache_dir / _config_digest(tiny_config)
         (entry / "result.json").write_text("{not json")
-        before = CACHE_FAILURES["quarantined"]
+        before = CACHE_FAILURES.quarantined
         build_dataset(tiny_config)
-        assert CACHE_FAILURES["quarantined"] == before + 1
+        assert CACHE_FAILURES.quarantined == before + 1
         assert quarantined_count() == 1
+
+    def test_quarantine_shows_in_metrics(self, cache_dir, tiny_config):
+        from repro.service.http import OperationsApp
+
+        app = OperationsApp.from_database(build_dataset(tiny_config).database)
+        before = app.metrics()["dataset_cache"]["quarantined"]
+        entry = cache_dir / _config_digest(tiny_config)
+        (entry / "result.json").write_text("{not json")
+        build_dataset(tiny_config)
+        assert app.metrics()["dataset_cache"]["quarantined"] == before + 1
 
     def test_failed_store_counted(self, cache_dir, tiny_config, monkeypatch):
         def full_disk(database, directory):
             raise OSError("no space left on device")
 
         monkeypatch.setattr(TelemetryArchive, "save", staticmethod(full_disk))
-        before = CACHE_FAILURES["store_failed"]
+        before = CACHE_FAILURES.store_failed
         result = build_dataset(tiny_config)
-        assert CACHE_FAILURES["store_failed"] == before + 1
+        assert CACHE_FAILURES.store_failed == before + 1
         assert result.database.num_samples == 3 * 48
         assert not any(cache_dir.iterdir())  # the temp dir was removed
 

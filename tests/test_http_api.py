@@ -16,13 +16,19 @@ import json
 import numpy as np
 import pytest
 
+from repro.analytics.incremental import SectionCacheCounters
+from repro.service import CacheCounters, ServeCounters
 from repro.service.http import (
     MAX_BODY_BYTES,
+    GatewayCounters,
     OperationsApp,
     OperationsHttpServer,
     IngestServerConfig,
+    RequestCounters,
 )
-from repro.telemetry.database import EnvironmentalDatabase
+from repro.service.http.app import _ROUTE_TABLE
+from repro.simulation.datasets import DatasetCacheCounters
+from repro.telemetry.database import EnvironmentalDatabase, IngestCounters
 from repro.telemetry.records import CHANNELS
 
 NUM_RACKS = 8
@@ -268,9 +274,74 @@ class TestDispatcherNeverRaises:
         assert counters.client_errors == 1
         assert counters.server_errors == 0
 
+    def test_unknown_paths_share_one_route_key(self):
+        app = OperationsApp.from_database(_database())
+        for i in range(1000):
+            app.handle("GET", f"/scan/{i}", {})
+        server = app.metrics()["server"]
+        assert len(server["by_route"]) <= len(_ROUTE_TABLE) + 1
+        assert server["by_route"]["other"] == 1000
+        assert server["requests"] == server["client_errors"] == 1000
+
+
+#: The documented ``/metrics`` counter blocks: each group's fields plus
+#: the keys derived beside them.  Renaming a field breaks this table.
+_METRICS_CONTRACT = {
+    "server": (
+        RequestCounters,
+        {"requests", "served", "client_errors", "server_errors"},
+        {"chaos_errors", "chaos_resets", "by_route"},
+    ),
+    "cache": (
+        CacheCounters,
+        {"hits", "misses", "evictions", "invalidations", "revalidations"},
+        {"entries", "capacity", "hit_rate"},
+    ),
+    "serve": (ServeCounters, {"served", "errors", "timeouts"}, set()),
+    "dataset_cache": (DatasetCacheCounters, {"quarantined", "store_failed"}, set()),
+    "section_cache": (
+        SectionCacheCounters,
+        {
+            "hits", "misses", "stores", "state_hits", "state_appends",
+            "state_misses", "invalidations", "corrupt",
+        },
+        {"enabled"},
+    ),
+    "ingest": (
+        GatewayCounters,
+        {
+            "batches_accepted", "rows_received", "rows_committed",
+            "quality_override_rows", "rejected_unauthorized",
+            "rejected_backpressure",
+        },
+        {
+            "database", "committed_samples", "auth_enabled", "max_pending",
+            "max_batch_samples",
+        },
+    ),
+}
+
 
 class TestMetricsBlocks:
     """A ``/metrics`` block that cannot be built says why, not vanish."""
+
+    @pytest.mark.parametrize("block", sorted(_METRICS_CONTRACT))
+    def test_counter_block_renders_its_group(self, app, block):
+        group, fields, derived = _METRICS_CONTRACT[block]
+        assert set(group().as_dict()) == fields
+        assert set(app.metrics()[block]) == fields | derived
+
+    def test_nested_counter_blocks(self, app):
+        metrics = app.metrics()
+        assert set(metrics) == {
+            "api_version", "server", "cache", "serve", "dataset_cache", "store",
+            "dataset", "section_cache", "ingest",
+        }
+        assert set(metrics["server"]["by_route"]) == set(_ROUTE_TABLE) | {"other"}
+        assert set(metrics["ingest"]["database"]) == {
+            "accepted_rows", "reordered_rows", "duplicate_rows", "dropped_late_rows",
+        }
+        assert set(IngestCounters().as_dict()) == set(metrics["ingest"]["database"])
 
     def test_dataset_block_reports_error(self, monkeypatch):
         app = OperationsApp.from_database(_database())

@@ -20,6 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import blobfile
 from repro.chaos import ChaosConfig, ChaosInjector, ChaosProcessKill
 from repro.faults import FaultConfig
 from repro.service import (
@@ -37,7 +38,7 @@ from repro.service import (
     SupervisorConfig,
     WriteAheadLog,
 )
-from repro.service.durability import replay_component
+from repro.service.durability import SNAPSHOT_MAGIC, replay_component
 from repro.simulation import FacilityEngine, MiraScenario
 from repro.telemetry.quality import scrub_database
 from repro.telemetry.records import CHANNELS, Channel
@@ -268,7 +269,7 @@ class TestSupervisedSubscriber:
         # Crashes 1..3 exhaust max_restarts=2; deliveries 4 and 5 skip.
         assert counters.crashes == 3
         assert counters.restarts == 2
-        assert counters.gave_up is True
+        assert counters.gave_up == 1
         assert counters.skipped == 2 and counters.samples_skipped == 8
         kinds = [e.kind for e in supervisor.events]
         assert kinds == ["crash", "restart", "crash", "restart", "gave_up"]
@@ -430,6 +431,25 @@ class TestRecoveryEquivalence:
     ):
         """A snapshot that fails verification costs a full WAL replay
         for its component only, and the report says why."""
+
+        def truncate(snapshot):
+            snapshot.write_bytes(snapshot.read_bytes()[:-5])
+
+        self._recover_past_bad_snapshot(stream_result, tmp_path, "rollups", truncate)
+
+    def test_v1_snapshot_quarantined_and_replayed(self, stream_result, tmp_path):
+        """A snapshot written under the previous magic (whose predictor
+        state pickled its counters as a dataclass) is quarantined, and
+        the predictor replays the whole log."""
+
+        def as_v1(snapshot):
+            state = blobfile.read(snapshot, SNAPSHOT_MAGIC)
+            blobfile.write(snapshot, b"repro-snapshot-v1", state)
+
+        self._recover_past_bad_snapshot(stream_result, tmp_path, "predictor", as_v1)
+
+    @staticmethod
+    def _recover_past_bad_snapshot(stream_result, tmp_path, component, damage):
         # One-chunk queues keep every consumer within two chunks of the
         # publisher, so each has snapshotted by the mid-stream kill.
         config = ServiceConfig(
@@ -453,8 +473,7 @@ class TestRecoveryEquivalence:
         with pytest.raises(ChaosProcessKill):
             doomed.run()
         doomed.abort()
-        snapshot = state / "rollups.snapshot.pkl"
-        snapshot.write_bytes(snapshot.read_bytes()[:-5])
+        damage(state / f"{component}.snapshot.pkl")
 
         recovered = LiveOperationsService.recover(
             stream_result.database, model=_StubModel(), cusum=True, config=durable
@@ -462,9 +481,9 @@ class TestRecoveryEquivalence:
         flagged = {
             c.component for c in recovered.recovery.components if c.snapshot_quarantined
         }
-        assert flagged == {"rollups"}
-        rollups = recovered.recovery.component("rollups")
-        assert rollups.snapshot_seq is None and rollups.records_skipped == 0
+        assert flagged == {component}
+        replayed = recovered.recovery.component(component)
+        assert replayed.snapshot_seq is None and replayed.records_skipped == 0
         assert recovered.recovery.component("cusum").snapshot_seq is not None
         assert any(p.name.startswith(".quarantine-") for p in state.iterdir())
         recovered.run()
@@ -650,8 +669,8 @@ class TestServeManyGuard:
         assert results[0].ok and results[2].ok
         assert not results[1].ok
         assert "KeyError" in results[1].error
-        info = engine.serve_info()
-        assert info["errors"] == 1 and info["served"] >= 2
+        assert engine.serve_counters.errors == 1
+        assert engine.serve_counters.served >= 2
 
     def test_serial_path_also_guards(self, stream_result, engine):
         bad = self._query(stream_result, resolution_s=999.0)
@@ -676,7 +695,7 @@ class TestServeManyGuard:
             engine.execute = original
         assert not results[0].ok
         assert "timeout" in results[0].error
-        assert engine.serve_info()["timeouts"] == 1
+        assert engine.serve_counters.timeouts == 1
 
     def test_execute_still_raises_for_direct_callers(self, stream_result, engine):
         with pytest.raises(KeyError):

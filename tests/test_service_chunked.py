@@ -507,7 +507,7 @@ class TestInvalidationBatching:
         first = engine.execute(query)
         second = engine.execute(query)
         assert first.value == second.value
-        assert engine.cache_info().hits >= 1
+        assert engine.counters.hits >= 1
 
 
 class TestLiveServiceChunkedEquivalence:

@@ -274,7 +274,7 @@ class TestCaching:
 
     def test_cache_info_shape(self, engine):
         info = engine.cache_info()
-        assert set(info.as_dict()) == {
+        assert set(info) == {
             "hits",
             "misses",
             "evictions",
@@ -284,7 +284,7 @@ class TestCaching:
             "capacity",
             "hit_rate",
         }
-        assert info.capacity == engine.cache_size
+        assert info["capacity"] == engine.cache_size
 
     def test_cache_info_hit_rate(self, faulted_result, engine):
         start, end = _span(faulted_result)
@@ -292,8 +292,8 @@ class TestCaching:
         engine.execute(query)
         engine.execute(query)
         info = engine.cache_info()
-        assert info.hits == 1 and info.misses == 1
-        assert info.hit_rate == pytest.approx(0.5)
+        assert info["hits"] == 1 and info["misses"] == 1
+        assert info["hit_rate"] == pytest.approx(0.5)
 
     def test_execute_versioned_stamps_store_version(self, faulted_result, engine):
         start, end = _span(faulted_result)
