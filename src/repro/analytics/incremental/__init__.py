@@ -1,4 +1,4 @@
-"""Content-addressed section memoization and append-only recompute.
+"""Content-addressed section memoization and append-only folds.
 
 Two cooperating pieces:
 
@@ -6,16 +6,17 @@ Two cooperating pieces:
   store, keyed by ``(root_digest, section_id, config_digest,
   code_epoch)`` with atomic writes, verified loads, and
   quarantine-on-corruption;
-* :mod:`~repro.analytics.incremental.sections` — append-only reducers
-  for the pure time-fold sections, pinned bit-identical (exact
-  discrete values, <= 1e-12 floats) to the from-scratch builders.
+* :mod:`~repro.analytics.incremental.sections` — the fold states
+  Figs 2-9 are built from, advanced block by block over appended
+  rows.
 
 :func:`repro.core.experiments.full_report` wires both into its section
-fan-out: finished rows are served from the memo before any worker task
-is dispatched, incremental sections fold only rows past their cached
-watermark, and everything else falls back to whole-section
-memoization.  Disable with ``REPRO_SECTION_CACHE=0`` or
-``full_report(..., section_cache=False)``.
+loop: finished rows are served from the memo, Figs 2-9 are built from
+their fold state (advanced past its cached watermark, or folded over
+the whole store in memory when the memo is off), and every other
+section falls back to whole-section memoization.  Disable the memo
+with ``REPRO_SECTION_CACHE=0`` or ``full_report(...,
+section_cache=False)``; the rows are the same either way.
 """
 
 from repro.analytics.incremental.memo import (
@@ -30,15 +31,15 @@ from repro.analytics.incremental.memo import (
     reset_default_store,
 )
 from repro.analytics.incremental.sections import (
-    INCREMENTAL_SECTIONS,
     RACK_PROFILE_STATE,
+    SECTION_STATES,
     SERIES_COLUMNS,
     STATE_BUILDERS,
     SYSTEM_SERIES_STATE,
     TELEMETRY_INDEPENDENT_SECTIONS,
-    IncrementalSection,
     SectionState,
     advance_state,
+    fold_state,
 )
 
 __all__ = [
@@ -51,13 +52,13 @@ __all__ = [
     "config_digest",
     "default_store",
     "reset_default_store",
-    "INCREMENTAL_SECTIONS",
     "RACK_PROFILE_STATE",
+    "SECTION_STATES",
     "SERIES_COLUMNS",
     "STATE_BUILDERS",
     "SYSTEM_SERIES_STATE",
     "TELEMETRY_INDEPENDENT_SECTIONS",
-    "IncrementalSection",
     "SectionState",
     "advance_state",
+    "fold_state",
 ]

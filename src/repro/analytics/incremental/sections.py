@@ -1,7 +1,7 @@
-"""Append-only report-section reducers.
+"""Fold states: the one implementation of the report's Figs 2-9.
 
-The pure time-fold sections of the full report — trends, calendar
-profiles, per-rack spatial profiles, ambient statistics — do not need
+The pure time-fold sections of the full report (trends, calendar
+profiles, per-rack spatial profiles, ambient statistics) do not need
 the raw ``(time, rack)`` matrices to produce their rows; they need
 derived quantities that can be *folded block by block*:
 
@@ -10,46 +10,44 @@ derived quantities that can be *folded block by block*:
   flow, across-rack coolant and ambient means) is a per-row reduction
   along the rack axis.  Row reductions are row-local, so computing
   them on an appended block and concatenating yields *bit-identical*
-  arrays to recomputing on the grown matrix.  The state blob stores
-  the derived ``(time, 7)`` matrix (~3 MB/yr at hourly cadence vs
-  ~140 MB of raw columns); finalization reconstructs the series and
-  runs the exact reference statistics code
-  (:func:`repro.core.trends.yearly_trends_from_series` and friends).
+  arrays to recomputing on the grown matrix.  The state stores the
+  derived ``(time, 7)`` matrix (~3 MB/yr at hourly cadence vs ~140 MB
+  of raw columns).
 * **rack profiles** (Figs 6, 7, 9): the per-rack time means fold as
   (finite-sum, finite-count) accumulator pairs per channel.  Within a
   block the partial sums use numpy's pairwise summation, across
-  blocks they accumulate sequentially, so a folded profile can differ
-  from the from-scratch ``nanmean`` by a few ULPs — well inside the
-  report's 1e-12 float tolerance (the discrete argmax/argmin rack
+  blocks they accumulate sequentially, so a profile folded over
+  appends can differ from a one-shot fold by a few ULPs, well inside
+  the report's 1e-12 float tolerance (the discrete argmax/argmin rack
   picks are safe: the paper's spreads are percent-level).
 
-A state blob carries a chunk-prefix watermark (the full-chunk digests
-plus the tail-range hash of everything it folded).  Before reuse the
-watermark is revalidated against the live store: if the prefix still
-matches, only rows past the watermark are folded; any rewrite of
-history (a scrubber pass, a duplicate merge) invalidates the state
-and it rebuilds from scratch.  Sections with no incremental form fall
-back to whole-section memoization in
+:func:`repro.core.experiments.full_report` builds each of Figs 2-9
+from its state (:data:`SECTION_STATES`) and nothing else.  With the
+section memo on it gets the state through :func:`advance_state`;
+with it off it folds the whole store once per state in memory
+(:func:`fold_state`).  The whole-store analyses
+(:func:`repro.core.trends.yearly_trends` and friends) stay as the
+independent reference the fold is tested against.
+
+A memoized state carries a chunk-prefix watermark (the full-chunk
+digests plus the tail-range hash of everything it folded).  Before
+reuse the watermark is revalidated against the live store: if the
+prefix still matches, only rows past the watermark are folded; any
+rewrite of history (a scrubber pass, a duplicate merge) invalidates
+the state and it rebuilds from scratch.  Sections with no fold state
+fall back to whole-section memoization in
 :mod:`repro.analytics.incremental.memo`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.environment import AmbientSpatial, ambient_trends_from_series
-from repro.core.spatial import RackCoolantProfile, RackPowerProfile
-from repro.core.trends import (
-    coolant_trends_from_series,
-    monthly_profiles_from_matrix,
-    weekday_profiles_from_matrix,
-    yearly_trends_from_series,
-)
 from repro.telemetry import nanstats
-from repro.telemetry.database import EnvironmentalDatabase
+from repro.telemetry.database import EnvironmentalDatabase, covered_sum
 from repro.telemetry.digest import DigestInfo
 from repro.telemetry.records import CHANNELS, Channel
 from repro.telemetry.series import TimeSeries
@@ -95,25 +93,6 @@ class SectionState:
     payload: Dict[str, np.ndarray]
 
 
-def _covered_sum_rows(values: np.ndarray, num_racks: int) -> np.ndarray:
-    """Row-wise coverage-corrected across-rack sum.
-
-    Mirrors ``EnvironmentalDatabase._covered_sum`` operation for
-    operation so a block slice folds bit-identically to the full-matrix
-    computation.
-    """
-    finite = np.isfinite(values)
-    counts = finite.sum(axis=1)
-    total = np.nansum(values, axis=1)
-    scale = np.divide(
-        float(num_racks),
-        counts,
-        out=np.full(len(counts), np.nan),
-        where=counts > 0,
-    )
-    return total * scale
-
-
 class _SystemSeriesBuilder:
     """Folds the seven derived system-level series (bit-identical)."""
 
@@ -140,9 +119,9 @@ class _SystemSeriesBuilder:
         util = np.asarray(database.channel(Channel.UTILIZATION).values[lo:hi])
         flow = np.asarray(database.channel(Channel.FLOW).values[lo:hi])
         columns = [
-            _covered_sum_rows(power, racks) / 1000.0,
+            covered_sum(power, racks) / 1000.0,
             nanstats.nanmean(util, axis=1),
-            _covered_sum_rows(flow, racks),
+            covered_sum(flow, racks),
         ]
         for channel in (
             Channel.INLET_TEMPERATURE,
@@ -192,6 +171,44 @@ STATE_BUILDERS: Dict[str, Any] = {
     builder.state_id: builder
     for builder in (_SystemSeriesBuilder(), _RackProfileBuilder())
 }
+
+#: The fold state each of Figs 2-9 is built from, keyed by builder
+#: name.  The remaining sections (CMF analyses, windows, aftermath)
+#: have no fold state and fall back to whole-section memoization.
+SECTION_STATES: Dict[str, str] = {
+    "fig2_rows": SYSTEM_SERIES_STATE,
+    "fig3_rows": SYSTEM_SERIES_STATE,
+    "fig4_rows": SYSTEM_SERIES_STATE,
+    "fig5_rows": SYSTEM_SERIES_STATE,
+    "fig6_rows": RACK_PROFILE_STATE,
+    "fig7_rows": RACK_PROFILE_STATE,
+    "fig8_rows": SYSTEM_SERIES_STATE,
+    "fig9_rows": RACK_PROFILE_STATE,
+}
+
+
+def fold_state(
+    database: EnvironmentalDatabase, state_id: str, rows: Optional[int] = None
+) -> Dict[str, np.ndarray]:
+    """A fresh ``state_id`` payload folded over the store's first
+    ``rows`` rows (default: all of them), in memory, with no watermark."""
+    builder = STATE_BUILDERS[state_id]
+    stop = database.num_samples if rows is None else rows
+    return builder.fold(builder.empty(database), database, 0, stop)
+
+
+def system_series(payload: Dict[str, np.ndarray], column: str) -> TimeSeries:
+    """One :data:`SERIES_COLUMNS` column of a system-series payload."""
+    index = SERIES_COLUMNS.index(column)
+    return TimeSeries(payload["epoch_s"], payload["series"][:, index], name=column)
+
+
+def rack_means(payload: Dict[str, np.ndarray], channel: Channel) -> np.ndarray:
+    """Per-rack time mean of one channel from a rack-profile payload
+    (``nanmean`` semantics: NaN for a rack that never reported)."""
+    j = CHANNELS.index(channel)
+    sums, counts = payload["sums"][j], payload["counts"][j]
+    return np.divide(sums, counts, out=np.full_like(sums, np.nan), where=counts > 0)
 
 
 # -- state advance -----------------------------------------------------------
@@ -275,146 +292,9 @@ def advance_state(
         outcome = "invalidated"
     elif prior is not None:
         outcome = "invalidated"
-    payload = builder.fold(builder.empty(database), database, 0, info.rows)
+    payload = fold_state(database, state_id, info.rows)
     return _sealed(state_id, payload, database, info), outcome
 
-
-# -- finalizers --------------------------------------------------------------
-
-
-def _series(payload: Dict[str, np.ndarray], column: str) -> TimeSeries:
-    index = SERIES_COLUMNS.index(column)
-    return TimeSeries(
-        payload["epoch_s"], payload["series"][:, index], name=column
-    )
-
-
-def _profile_mean(payload: Dict[str, np.ndarray], channel: Channel) -> np.ndarray:
-    """Per-rack mean from the accumulator pairs (nanmean semantics)."""
-    j = CHANNELS.index(channel)
-    sums, counts = payload["sums"][j], payload["counts"][j]
-    return np.divide(
-        sums, counts, out=np.full_like(sums, np.nan), where=counts > 0
-    )
-
-
-def _finalize_fig2(payload: Dict[str, np.ndarray], result: Any) -> List[Any]:
-    from repro.core import experiments
-
-    trends = yearly_trends_from_series(
-        _series(payload, "system_power_mw"),
-        _series(payload, "system_utilization"),
-    )
-    return experiments.rows_from_yearly_trends(trends)
-
-
-def _finalize_fig3(payload: Dict[str, np.ndarray], result: Any) -> List[Any]:
-    from repro.core import experiments
-
-    trends = coolant_trends_from_series(
-        _series(payload, "total_flow_gpm"),
-        _series(payload, Channel.INLET_TEMPERATURE.column),
-        _series(payload, Channel.OUTLET_TEMPERATURE.column),
-    )
-    return experiments.rows_from_coolant_trends(trends)
-
-
-def _calendar_inputs(
-    payload: Dict[str, np.ndarray]
-) -> Tuple[np.ndarray, Tuple[str, ...], np.ndarray]:
-    # The reference path column-stacks five 1-D series into a fresh
-    # C-contiguous matrix; mirror that exactly rather than handing the
-    # reducers a strided view of the state matrix.
-    names = SERIES_COLUMNS[:5]
-    matrix = np.column_stack(
-        [payload["series"][:, j] for j in range(5)]
-    )
-    return payload["epoch_s"], names, matrix
-
-
-def _finalize_fig4(payload: Dict[str, np.ndarray], result: Any) -> List[Any]:
-    from repro.core import experiments
-
-    epoch, names, matrix = _calendar_inputs(payload)
-    profiles = monthly_profiles_from_matrix(epoch, names, matrix)
-    return experiments.rows_from_monthly_profiles(profiles)
-
-
-def _finalize_fig5(payload: Dict[str, np.ndarray], result: Any) -> List[Any]:
-    from repro.core import experiments
-
-    epoch, names, matrix = _calendar_inputs(payload)
-    profiles = weekday_profiles_from_matrix(epoch, names, matrix)
-    return experiments.rows_from_weekday_profiles(profiles)
-
-
-def _finalize_fig6(payload: Dict[str, np.ndarray], result: Any) -> List[Any]:
-    from repro.core import experiments
-
-    profile = RackPowerProfile(
-        power_kw=_profile_mean(payload, Channel.POWER),
-        utilization=_profile_mean(payload, Channel.UTILIZATION),
-    )
-    return experiments.rows_from_rack_power(profile)
-
-
-def _finalize_fig7(payload: Dict[str, np.ndarray], result: Any) -> List[Any]:
-    from repro.core import experiments
-
-    profile = RackCoolantProfile(
-        flow_gpm=_profile_mean(payload, Channel.FLOW),
-        inlet_f=_profile_mean(payload, Channel.INLET_TEMPERATURE),
-        outlet_f=_profile_mean(payload, Channel.OUTLET_TEMPERATURE),
-    )
-    return experiments.rows_from_rack_coolant(profile)
-
-
-def _finalize_fig8(payload: Dict[str, np.ndarray], result: Any) -> List[Any]:
-    from repro.core import experiments
-
-    trends = ambient_trends_from_series(
-        _series(payload, Channel.DC_TEMPERATURE.column),
-        _series(payload, Channel.DC_HUMIDITY.column),
-    )
-    return experiments.rows_from_ambient_trends(trends)
-
-
-def _finalize_fig9(payload: Dict[str, np.ndarray], result: Any) -> List[Any]:
-    from repro.core import experiments
-
-    spatial = AmbientSpatial(
-        temperature_f=_profile_mean(payload, Channel.DC_TEMPERATURE),
-        humidity_rh=_profile_mean(payload, Channel.DC_HUMIDITY),
-    )
-    return experiments.rows_from_ambient_spatial(spatial)
-
-
-@dataclasses.dataclass(frozen=True)
-class IncrementalSection:
-    """One section's incremental form: which state it folds, and how
-    finished rows are produced from that state."""
-
-    section_id: str
-    state_id: str
-    finalize: Callable[[Dict[str, np.ndarray], Any], List[Any]]
-
-
-#: Sections with an append-only reducer, keyed by builder name.  The
-#: remaining sections (CMF analyses, windows, aftermath) have no
-#: incremental form and fall back to whole-section memoization.
-INCREMENTAL_SECTIONS: Dict[str, IncrementalSection] = {
-    spec.section_id: spec
-    for spec in (
-        IncrementalSection("fig2_rows", SYSTEM_SERIES_STATE, _finalize_fig2),
-        IncrementalSection("fig3_rows", SYSTEM_SERIES_STATE, _finalize_fig3),
-        IncrementalSection("fig4_rows", SYSTEM_SERIES_STATE, _finalize_fig4),
-        IncrementalSection("fig5_rows", SYSTEM_SERIES_STATE, _finalize_fig5),
-        IncrementalSection("fig6_rows", RACK_PROFILE_STATE, _finalize_fig6),
-        IncrementalSection("fig7_rows", RACK_PROFILE_STATE, _finalize_fig7),
-        IncrementalSection("fig8_rows", SYSTEM_SERIES_STATE, _finalize_fig8),
-        IncrementalSection("fig9_rows", RACK_PROFILE_STATE, _finalize_fig9),
-    )
-}
 
 #: Sections whose rows depend only on the simulation config (RAS log,
 #: schedule), not on the telemetry matrices: they memoize under a

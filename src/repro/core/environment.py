@@ -71,9 +71,8 @@ def ambient_trends_from_series(
 ) -> AmbientTrends:
     """Fig 8 statistics from pre-extracted system-level series.
 
-    The series-level half of :func:`ambient_trends`; the incremental
-    report reducer calls it on series reconstructed from its state
-    blob so both paths share the exact statistic code.
+    The series-level half of :func:`ambient_trends`; the report's Fig 8
+    rows call it on series from the system-series fold state.
     """
     return AmbientTrends(
         temperature=temperature,

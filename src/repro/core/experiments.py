@@ -12,29 +12,50 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro import constants
+from repro.analytics.incremental.memo import (
+    CONFIG_ONLY_ROOT,
+    config_digest,
+    default_store,
+)
+from repro.analytics.incremental.sections import (
+    SECTION_STATES,
+    SERIES_COLUMNS,
+    TELEMETRY_INDEPENDENT_SECTIONS,
+    advance_state,
+    fold_state,
+    rack_means,
+    system_series,
+)
 from repro.core.aftermath import analyze_aftermath
-from repro.core.environment import ambient_spatial, ambient_trends
+from repro.core.environment import AmbientSpatial, ambient_trends_from_series
 from repro.core.failure_analysis import analyze_cmfs
 from repro.core.leadup import aggregate_leadup
 from repro.core.prediction import sweep_leads
 from repro.core.report import ReportRow, format_value
-from repro.core.spatial import rack_coolant_profile, rack_power_profile
+from repro.core.spatial import RackCoolantProfile, RackPowerProfile
 from repro.core.trends import (
-    coolant_trends,
-    monthly_profiles,
-    weekday_profiles,
-    yearly_trends,
+    coolant_trends_from_series,
+    monthly_profiles_from_matrix,
+    weekday_profiles_from_matrix,
+    yearly_trends_from_series,
 )
 from repro.parallel import resolve_workers
 from repro.simulation.engine import SimulationResult
 from repro.simulation.windows import LeadupWindow, WindowSynthesizer
 from repro.telemetry.records import Channel
 
+#: A fold-state payload (see :mod:`repro.analytics.incremental.sections`).
+FoldState = Dict[str, np.ndarray]
 
-def rows_from_yearly_trends(trends) -> List[ReportRow]:
-    """Fig 2 rows from finished statistics (shared with the
-    incremental reducer, so both paths assemble identical rows)."""
+
+def fig2_rows(state: FoldState) -> List[ReportRow]:
+    trends = yearly_trends_from_series(
+        system_series(state, "system_power_mw"),
+        system_series(state, "system_utilization"),
+    )
     return [
         ReportRow("Fig 2a", "system power at start of 2014",
                   constants.POWER_2014_MW, trends.power_start_mw, "MW"),
@@ -47,11 +68,12 @@ def rows_from_yearly_trends(trends) -> List[ReportRow]:
     ]
 
 
-def fig2_rows(result: SimulationResult) -> List[ReportRow]:
-    return rows_from_yearly_trends(yearly_trends(result.database))
-
-
-def rows_from_coolant_trends(trends) -> List[ReportRow]:
+def fig3_rows(state: FoldState) -> List[ReportRow]:
+    trends = coolant_trends_from_series(
+        system_series(state, "total_flow_gpm"),
+        system_series(state, Channel.INLET_TEMPERATURE.column),
+        system_series(state, Channel.OUTLET_TEMPERATURE.column),
+    )
     return [
         ReportRow("Fig 3a", "total flow before Theta",
                   constants.FLOW_PRE_THETA_GPM, trends.flow_pre_theta_gpm, "GPM"),
@@ -70,12 +92,16 @@ def rows_from_coolant_trends(trends) -> List[ReportRow]:
     ]
 
 
-def fig3_rows(result: SimulationResult) -> List[ReportRow]:
-    return rows_from_coolant_trends(coolant_trends(result.database))
+def _calendar_columns(state: FoldState):
+    """The five Fig 4/5 columns: system power, utilization, total flow,
+    inlet and outlet (the first five :data:`SERIES_COLUMNS`)."""
+    return state["epoch_s"], SERIES_COLUMNS[:5], state["series"][:, :5]
 
 
-def rows_from_monthly_profiles(profiles) -> List[ReportRow]:
-    power, util, flow, inlet, outlet = profiles
+def fig4_rows(state: FoldState) -> List[ReportRow]:
+    power, util, flow, inlet, outlet = monthly_profiles_from_matrix(
+        *_calendar_columns(state)
+    )
     return [
         ReportRow("Fig 4a", "power H2/H1 median ratio", 1.04,
                   power.second_half_ratio),
@@ -93,18 +119,10 @@ def rows_from_monthly_profiles(profiles) -> List[ReportRow]:
     ]
 
 
-def fig4_rows(result: SimulationResult) -> List[ReportRow]:
-    # All five monthly profiles share one group-by pass over the
-    # database's common timestamp grid (see trends.monthly_profiles).
-    return rows_from_monthly_profiles(monthly_profiles(
-        result.database,
-        (None, Channel.UTILIZATION, Channel.FLOW,
-         Channel.INLET_TEMPERATURE, Channel.OUTLET_TEMPERATURE),
-    ))
-
-
-def rows_from_weekday_profiles(profiles) -> List[ReportRow]:
-    power, util, flow, inlet, outlet = profiles
+def fig5_rows(state: FoldState) -> List[ReportRow]:
+    power, util, flow, inlet, outlet = weekday_profiles_from_matrix(
+        *_calendar_columns(state)
+    )
     return [
         ReportRow("Fig 5a", "non-Monday power increase",
                   constants.NON_MONDAY_POWER_INCREASE,
@@ -122,15 +140,11 @@ def rows_from_weekday_profiles(profiles) -> List[ReportRow]:
     ]
 
 
-def fig5_rows(result: SimulationResult) -> List[ReportRow]:
-    return rows_from_weekday_profiles(weekday_profiles(
-        result.database,
-        (None, Channel.UTILIZATION, Channel.FLOW,
-         Channel.INLET_TEMPERATURE, Channel.OUTLET_TEMPERATURE),
-    ))
-
-
-def rows_from_rack_power(profile) -> List[ReportRow]:
+def fig6_rows(state: FoldState) -> List[ReportRow]:
+    profile = RackPowerProfile(
+        power_kw=rack_means(state, Channel.POWER),
+        utilization=rack_means(state, Channel.UTILIZATION),
+    )
     return [
         ReportRow("Fig 6a", "rack power spread",
                   constants.RACK_POWER_SPREAD, profile.power_spread),
@@ -148,11 +162,12 @@ def rows_from_rack_power(profile) -> List[ReportRow]:
     ]
 
 
-def fig6_rows(result: SimulationResult) -> List[ReportRow]:
-    return rows_from_rack_power(rack_power_profile(result.database))
-
-
-def rows_from_rack_coolant(profile) -> List[ReportRow]:
+def fig7_rows(state: FoldState) -> List[ReportRow]:
+    profile = RackCoolantProfile(
+        flow_gpm=rack_means(state, Channel.FLOW),
+        inlet_f=rack_means(state, Channel.INLET_TEMPERATURE),
+        outlet_f=rack_means(state, Channel.OUTLET_TEMPERATURE),
+    )
     return [
         ReportRow("Fig 7a", "rack flow spread",
                   constants.RACK_FLOW_SPREAD, profile.flow_spread),
@@ -165,11 +180,11 @@ def rows_from_rack_coolant(profile) -> List[ReportRow]:
     ]
 
 
-def fig7_rows(result: SimulationResult) -> List[ReportRow]:
-    return rows_from_rack_coolant(rack_coolant_profile(result.database))
-
-
-def rows_from_ambient_trends(trends) -> List[ReportRow]:
+def fig8_rows(state: FoldState) -> List[ReportRow]:
+    trends = ambient_trends_from_series(
+        system_series(state, Channel.DC_TEMPERATURE.column),
+        system_series(state, Channel.DC_HUMIDITY.column),
+    )
     return [
         ReportRow("Fig 8a", "DC temperature min", constants.DC_TEMP_MIN_F,
                   trends.temperature_min_f, "F"),
@@ -188,11 +203,11 @@ def rows_from_ambient_trends(trends) -> List[ReportRow]:
     ]
 
 
-def fig8_rows(result: SimulationResult) -> List[ReportRow]:
-    return rows_from_ambient_trends(ambient_trends(result.database))
-
-
-def rows_from_ambient_spatial(spatial) -> List[ReportRow]:
+def fig9_rows(state: FoldState) -> List[ReportRow]:
+    spatial = AmbientSpatial(
+        temperature_f=rack_means(state, Channel.DC_TEMPERATURE),
+        humidity_rh=rack_means(state, Channel.DC_HUMIDITY),
+    )
     temp_delta, humidity_delta = spatial.row_end_effect()
     return [
         ReportRow("Fig 9a", "rack DC-temperature spread",
@@ -204,10 +219,6 @@ def rows_from_ambient_spatial(spatial) -> List[ReportRow]:
         ReportRow("Sec V", "row-end temperature excess", 2.0, temp_delta, "F"),
         ReportRow("Sec V", "row-end humidity deficit", -3.0, humidity_delta, "%RH"),
     ]
-
-
-def fig9_rows(result: SimulationResult) -> List[ReportRow]:
-    return rows_from_ambient_spatial(ambient_spatial(result.database))
 
 
 def fig10_11_rows(result: SimulationResult) -> List[ReportRow]:
@@ -314,8 +325,10 @@ def _rack(pair: Tuple[int, int]):
 
 #: Canonical section order: (title, per-section builder).  The assembled
 #: report always iterates in this order, with Figs 12/13 last when the
-#: windows are synthesized.
-SECTION_BUILDERS: Tuple[Tuple[str, Callable[[SimulationResult], List[ReportRow]]], ...] = (
+#: windows are synthesized.  Figs 2-9 build from their fold state (see
+#: :data:`~repro.analytics.incremental.sections.SECTION_STATES`), the
+#: others from the simulation result.
+SECTION_BUILDERS: Tuple[Tuple[str, Callable[..., List[ReportRow]]], ...] = (
     ("Fig 2 — year-over-year power and utilization", fig2_rows),
     ("Fig 3 — coolant flow and temperatures", fig3_rows),
     ("Fig 4 — monthly medians (allocation years)", fig4_rows),
@@ -341,24 +354,20 @@ def _resolve_section_store(section_cache):
     if section_cache is False:
         return None
     if section_cache is None:
-        from repro.analytics.incremental.memo import default_store
-
         section_cache = default_store()
     return section_cache if section_cache.enabled else None
 
 
-def _fold_state(
+def _memo_state(
     result: SimulationResult, state_id: str, store, digest_info, cfg_digest: str
-) -> Dict:
-    """Load, advance, re-publish and count one incremental state blob.
+) -> FoldState:
+    """Load, advance, re-publish and count one memoized fold state.
 
-    The cached blob is revalidated against the store's chunk prefix
+    The cached state is revalidated against the store's chunk prefix
     and advanced by folding only the rows appended since (or rebuilt
     when the prefix no longer holds).  The folds are vectorized slices
     over (possibly memory-mapped) columns.
     """
-    from repro.analytics.incremental.sections import advance_state
-
     prior = store.load_state(state_id, cfg_digest)
     state, outcome = advance_state(result.database, state_id, prior, digest_info)
     if outcome == "hit":
@@ -395,14 +404,17 @@ def full_report(
     windows built elsewhere call :func:`fig12_rows` and
     :func:`fig13_rows` directly.
 
-    With the section memo store enabled (the default; see
-    :mod:`repro.analytics.incremental`), each section is looked up by
-    the dataset's content address before it is built: memoized
-    sections are served from disk, sections with an incremental
-    reducer fold only rows appended since their cached watermark, and
-    every section built is stored.  Cached and fresh builds are pinned
-    equal (exact discrete values, <= 1e-12 floats) by
-    ``tests/test_incremental_report.py``.
+    Figs 2-9 are built from their fold state and nothing else (see
+    :mod:`repro.analytics.incremental.sections`), whether or not the
+    section memo is on.  With the memo store enabled (the default),
+    each section is looked up by the dataset's content address before
+    it is built: memoized sections are served from disk, a fold state
+    folds only rows appended since its cached watermark, and every
+    section built is stored.  With the memo off, each state is folded
+    over the whole store once, in memory.  Cached and fresh builds are
+    pinned equal (exact discrete values, <= 1e-12 floats) by
+    ``tests/test_incremental_report.py``, and the fold against the
+    whole-store analyses by ``tests/test_fold_reference.py``.
 
     Args:
         result: The simulation to report on.
@@ -422,16 +434,19 @@ def full_report(
         titles.update(fig12_rows=FIG12_TITLE, fig13_rows=FIG13_TITLE)
     store = _resolve_section_store(section_cache)
     if store is not None:
-        from repro.analytics.incremental.memo import CONFIG_ONLY_ROOT, config_digest
-        from repro.analytics.incremental.sections import (
-            INCREMENTAL_SECTIONS,
-            TELEMETRY_INDEPENDENT_SECTIONS,
-        )
-
         digest_info = result.database.digest_info()
         cfg_digest = config_digest(result.config)
     windows: List[List[LeadupWindow]] = []
-    payloads: Dict[str, Dict] = {}
+    states: Dict[str, FoldState] = {}
+
+    def state(state_id: str) -> FoldState:
+        if state_id not in states:
+            states[state_id] = (
+                fold_state(result.database, state_id)
+                if store is None
+                else _memo_state(result, state_id, store, digest_info, cfg_digest)
+            )
+        return states[state_id]
 
     def build(name: str) -> List[ReportRow]:
         if name in ("fig12_rows", "fig13_rows"):
@@ -441,13 +456,8 @@ def full_report(
             if name == "fig12_rows":
                 return fig12_rows(windows[0])
             return fig13_rows(*windows, workers=resolve_workers(workers))
-        if store is not None and name in INCREMENTAL_SECTIONS:
-            state_id = INCREMENTAL_SECTIONS[name].state_id
-            if state_id not in payloads:
-                payloads[state_id] = _fold_state(
-                    result, state_id, store, digest_info, cfg_digest
-                )
-            return INCREMENTAL_SECTIONS[name].finalize(payloads[state_id], result)
+        if name in SECTION_STATES:
+            return _BUILDERS_BY_NAME[name](state(SECTION_STATES[name]))
         return _BUILDERS_BY_NAME[name](result)
 
     sections: Dict[str, List[ReportRow]] = {}

@@ -52,10 +52,8 @@ def yearly_trends_from_series(
 ) -> YearlyTrends:
     """Fig 2 statistics from pre-extracted system-level series.
 
-    The series-level half of :func:`yearly_trends`; the incremental
-    report reducer calls it on series reconstructed from its state
-    blob, so cached and from-scratch builds share every statistic's
-    exact code path.
+    The series-level half of :func:`yearly_trends`; the report's Fig 2
+    rows call it on series from the system-series fold state.
     """
     return YearlyTrends(
         power_mw=power.rolling_mean(smooth_window),
@@ -216,25 +214,14 @@ def _system_series_matrix(
     return names, extracted[0][0].epoch_s, matrix
 
 
-def _calendar_profiles_matrix(
-    database: EnvironmentalDatabase,
-    channels: Sequence[Optional[Channel]],
-    field: str,
-    reducer: str,
-) -> Tuple[Tuple[str, ...], Dict[int, np.ndarray]]:
-    """One shared group-by pass over several channels' system series."""
-    names, epoch_s, matrix = _system_series_matrix(database, channels)
-    return names, reduce_by_calendar(epoch_s, matrix, field, reducer)
-
-
 def monthly_profiles_from_matrix(
     epoch_s: np.ndarray, names: Sequence[str], matrix: np.ndarray
 ) -> List[MonthlyProfile]:
-    """Fig 4 profiles from a pre-extracted system-series matrix.
+    """Fig 4 profiles from a ``(time, channel)`` system-series matrix.
 
-    The matrix-level half of :func:`monthly_profiles` (one column per
-    channel); used by the incremental report reducer on series
-    reconstructed from its state blob.
+    The matrix-level half of :func:`monthly_profiles`, one column per
+    channel and one shared group-by pass; the report's Fig 4 rows call
+    it on the system-series fold state.
     """
     by_month = reduce_by_calendar(epoch_s, matrix, "month", "median")
     return [
@@ -276,16 +263,8 @@ def monthly_profiles(
     database: EnvironmentalDatabase, channels: Sequence[Optional[Channel]]
 ) -> List[MonthlyProfile]:
     """Fig 4's per-month medians for several channels in one pass."""
-    names, by_month = _calendar_profiles_matrix(
-        database, channels, "month", "median"
-    )
-    return [
-        MonthlyProfile(
-            channel_name=name,
-            by_month={k: float(row[j]) for k, row in by_month.items()},
-        )
-        for j, name in enumerate(names)
-    ]
+    names, epoch_s, matrix = _system_series_matrix(database, channels)
+    return monthly_profiles_from_matrix(epoch_s, names, matrix)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -333,13 +312,5 @@ def weekday_profiles(
     database: EnvironmentalDatabase, channels: Sequence[Optional[Channel]]
 ) -> List[WeekdayProfile]:
     """Fig 5's per-weekday means for several channels in one pass."""
-    names, by_weekday = _calendar_profiles_matrix(
-        database, channels, "weekday", "mean"
-    )
-    return [
-        WeekdayProfile(
-            channel_name=name,
-            by_weekday={k: float(row[j]) for k, row in by_weekday.items()},
-        )
-        for j, name in enumerate(names)
-    ]
+    names, epoch_s, matrix = _system_series_matrix(database, channels)
+    return weekday_profiles_from_matrix(epoch_s, names, matrix)

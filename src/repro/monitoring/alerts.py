@@ -85,21 +85,6 @@ class AlertEngine:
             probability=prediction.probability,
         )
 
-    def process_many(self, predictions: Sequence[Prediction]) -> List[Alert]:
-        """Feed predictions in order; returns the alerts that fired.
-
-        Identical to calling :meth:`process` per prediction — the
-        streak/cooldown state machine is inherently sequential per
-        rack, so this is a convenience for chunked consumers, not a
-        semantic change.
-        """
-        alerts = []
-        for prediction in predictions:
-            alert = self.process(prediction)
-            if alert is not None:
-                alerts.append(alert)
-        return alerts
-
     # -- durability ---------------------------------------------------------------
 
     def get_state(self) -> Dict[str, Dict]:

@@ -50,6 +50,7 @@ from repro.service.durability import (
     DurabilityConfig,
     RecoveryError,
     RecoveryReport,
+    SnapshotCounters,
     SnapshotStore,
     WriteAheadLog,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "DurabilityConfig",
     "RecoveryError",
     "RecoveryReport",
+    "SnapshotCounters",
     "SnapshotStore",
     "WriteAheadLog",
     "LiveOperationsService",

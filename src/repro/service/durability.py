@@ -29,7 +29,6 @@ snapshot's ack are skipped, never re-applied.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import os
 import pickle
@@ -39,12 +38,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import blobfile
+from repro.metrics import Counters
 from repro.service.bus import BusChunk
 
 __all__ = [
     "DurabilityConfig",
     "WriteAheadLog",
     "SnapshotStore",
+    "SnapshotCounters",
     "RecoveryError",
     "ComponentRecovery",
     "RecoveryReport",
@@ -194,14 +195,21 @@ class Snapshot:
     state: object
 
 
+class SnapshotCounters(Counters):
+    """What :class:`SnapshotStore` loads found wrong."""
+
+    #: Snapshots that failed verification and were quarantined.
+    quarantined: int
+
+
 class SnapshotStore:
     """Per-component :mod:`repro.blobfile` snapshots under the root.
 
     ``save`` publishes by rename, so a kill mid-snapshot leaves the
     previous snapshot (or none) intact.  ``load`` answers "no snapshot"
     for a missing file and for one that fails verification; the latter
-    is quarantined and counted per component in :attr:`quarantined`,
-    and recovery replays that component's WAL from the stream start.
+    is quarantined and counted in :attr:`counters`, and recovery
+    replays that component's WAL from the stream start.
     """
 
     _SUFFIX = ".snapshot.pkl"
@@ -209,7 +217,7 @@ class SnapshotStore:
     def __init__(self, directory: "str | Path") -> None:
         self.root = Path(directory)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.quarantined: "collections.Counter[str]" = collections.Counter()
+        self.counters = SnapshotCounters()
 
     def _path(self, component: str) -> Path:
         return self.root / f"{component}{self._SUFFIX}"
@@ -224,7 +232,7 @@ class SnapshotStore:
         except FileNotFoundError:
             return None
         except blobfile.CorruptBlob:
-            self.quarantined[component] += 1
+            self.counters.add(quarantined=1)
             return None
 
 

@@ -157,14 +157,6 @@ class IngestClient:
         )
         return response
 
-    def get_json(self, path: str) -> Dict:
-        """One GET, decoded; no retries (probes want the first answer)."""
-        request = urllib.request.Request(
-            self.base_url + path, headers=self._headers(), method="GET"
-        )
-        with urllib.request.urlopen(request, timeout=self.timeout_s) as reply:
-            return json.loads(reply.read())
-
     def _headers(self) -> Dict[str, str]:
         headers = {"Content-Type": "application/json"}
         if self.token is not None:

@@ -385,6 +385,7 @@ class LiveOperationsService:
         wal_start = records[0].start_seq if records else 0
         recovered = []
         for name, consumer in service._component_items():
+            quarantined_before = snapshots.counters.quarantined
             snapshot = snapshots.load(name)
             if snapshot is not None:
                 consumer.set_state(snapshot.state)
@@ -393,7 +394,7 @@ class LiveOperationsService:
             else:
                 acked = wal_start - 1
                 snapshot_seq = None
-            quarantined = name in snapshots.quarantined
+            quarantined = snapshots.counters.quarantined > quarantined_before
             recovered.append(
                 replay_component(
                     name, records, acked, consumer, snapshot_seq, quarantined

@@ -589,9 +589,6 @@ class RollupStore:
 
     # -- query surface ------------------------------------------------------------
 
-    def level_resolutions(self) -> Tuple[float, ...]:
-        return self.resolutions_s
-
     def epoch_bounds(self) -> Optional[Tuple[float, float]]:
         """Covered time range ``(first, last)`` on the finest level.
 

@@ -132,6 +132,28 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return view
 
 
+def covered_sum(values: np.ndarray, num_racks: int) -> np.ndarray:
+    """Coverage-corrected across-rack sum of a ``(time, rack)`` matrix.
+
+    Missing racks are estimated at the mean of the reporting racks
+    (the sum is scaled by ``racks / reporting``), so partial sensor
+    dropout does not deflate facility totals.  Fully-covered rows are
+    exactly the plain sum; rows where *no* rack reported are NaN
+    rather than a silent zero.  Row-local, so a row slice reduces to
+    the same bits as the whole matrix does.
+    """
+    finite = np.isfinite(values)
+    counts = finite.sum(axis=1)
+    total = np.nansum(values, axis=1)
+    scale = np.divide(
+        float(num_racks),
+        counts,
+        out=np.full(len(counts), np.nan),
+        where=counts > 0,
+    )
+    return total * scale
+
+
 class EnvironmentalDatabase:
     """In-memory columnar telemetry store.
 
@@ -686,25 +708,9 @@ class EnvironmentalDatabase:
     # -- system-level aggregates -------------------------------------------------
 
     def _covered_sum(self, channel: Channel) -> Tuple[TimeSeries, np.ndarray]:
-        """Coverage-corrected across-rack sum.
-
-        Missing racks are estimated at the mean of the reporting racks
-        (the sum is scaled by ``racks / reporting``), so partial sensor
-        dropout does not deflate facility totals.  Fully-covered
-        samples are exactly the plain sum; samples where *no* rack
-        reported are NaN rather than a silent zero.
-        """
+        """One channel's series and its :func:`covered_sum` over racks."""
         series = self.channel(channel)
-        finite = np.isfinite(series.values)
-        counts = finite.sum(axis=1)
-        total = np.nansum(series.values, axis=1)
-        scale = np.divide(
-            float(self._num_racks),
-            counts,
-            out=np.full(len(counts), np.nan),
-            where=counts > 0,
-        )
-        return series, total * scale
+        return series, covered_sum(series.values, self._num_racks)
 
     def system_power_mw(self) -> TimeSeries:
         """Total facility power (MW) over time (Fig 2a).

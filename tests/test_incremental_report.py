@@ -1,11 +1,13 @@
-"""Memoized / incremental report builds are pinned to from-scratch.
+"""Memoized / incremental report builds are pinned to memo-off builds.
 
-Each test builds a reference with ``section_cache=False`` (the exact
-pre-memoization path) and asserts that cached builds — cold, warm,
+Each test builds a reference with ``section_cache=False``, which folds
+each Fig 2-9 state over the whole store in memory, with no digest and
+no disk (``tests/test_fold_reference.py`` pins that fold to the
+whole-store analyses).  It asserts that cached builds — cold, warm,
 append-advanced, multi-worker, faulted — reproduce it: discrete values
 exactly, floats to 1e-12.  The system-series sections (Figs 2, 3, 4,
 5, 8) are additionally pinned *bit-identical* even across an append,
-because their reducer folds row-local derived series.
+because their state concatenates row-local derived series.
 """
 
 from __future__ import annotations

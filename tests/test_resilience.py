@@ -168,12 +168,12 @@ class TestSnapshotStore:
     def test_missing_and_corrupt_load_as_none(self, tmp_path):
         store = SnapshotStore(tmp_path)
         assert store.load("rollups") is None
-        assert not store.quarantined  # a missing snapshot is not corrupt
+        assert store.counters.quarantined == 0  # a missing snapshot is not corrupt
         store.save("rollups", 7, {"x": 1})
         path = tmp_path / "rollups.snapshot.pkl"
         path.write_bytes(path.read_bytes()[:-5])  # truncated mid-payload
         assert store.load("rollups") is None
-        assert store.quarantined == {"rollups": 1}
+        assert store.counters.quarantined == 1
         assert not path.exists()
         quarantined = [p.name for p in tmp_path.iterdir()]
         assert len(quarantined) == 1
