@@ -67,6 +67,7 @@ def rows_equal(a, b, tol: float = 1e-12) -> bool:
         and a.metric == b.metric
         and a.paper_value == b.paper_value
         and a.unit == b.unit
+        and a.band == b.band
     )
 
 

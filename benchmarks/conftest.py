@@ -1,9 +1,10 @@
-"""Shared fixtures for the figure-reproduction benchmarks.
+"""Shared fixtures for the benchmarks on the canonical study.
 
-Every benchmark regenerates one figure of the paper against the
-canonical six-year dataset and prints a paper-vs-measured table.  The
-dataset build is paid once per session; each benchmark times the
-*analysis* (the paper's pipeline step), not the simulation.
+The ablation and efficiency benchmarks run against the canonical
+six-year dataset; its build is paid once per session, and each
+benchmark times its *analysis*, not the simulation.  The paper's
+figures themselves are report rows with bands, checked by tier-1
+(``tests/test_calibration.py``) and by ``repro experiments``.
 """
 
 from __future__ import annotations

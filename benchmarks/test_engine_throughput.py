@@ -1,6 +1,6 @@
 """Engine throughput: steps-per-second of the vectorized hot path.
 
-Unlike the figure benchmarks (which time an *analysis* over the
+Unlike the ablation benchmarks (which time an *analysis* over the
 canonical dataset), this benchmark times the facility simulation
 itself: a 120-day run at hourly cadence and at the 300 s monitor
 cadence the paper's predictor consumes.  Results are written to
@@ -16,17 +16,11 @@ per-step path — not scheduler jitter.
 from __future__ import annotations
 
 import dataclasses
-import json
-import platform
 import time
-from pathlib import Path
 from typing import Dict
 
-from repro import __version__
+from _bench_json import write_bench_json
 from repro.simulation import FacilityEngine, MiraScenario
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_OUTPUT = _REPO_ROOT / "BENCH_engine.json"
 
 #: Minimum acceptable throughput (steps/second).  The pre-vectorization
 #: engine measured ~1.8k steps/s; the vectorized engine measures >10k.
@@ -54,15 +48,15 @@ def test_engine_throughput():
     hourly = _timed_run(dataclasses.replace(base, dt_s=3600.0))
     monitor = _timed_run(dataclasses.replace(base, dt_s=300.0))
 
-    report = {
-        "version": __version__,
-        "python": platform.python_version(),
-        "scenario": "demo(days=120, seed=11)",
-        "default_1800s": default,
-        "hourly": hourly,
-        "monitor_cadence_300s": monitor,
-    }
-    _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench_json(
+        "engine",
+        {
+            "scenario": "demo(days=120, seed=11)",
+            "default_1800s": default,
+            "hourly": hourly,
+            "monitor_cadence_300s": monitor,
+        },
+    )
 
     print("\nengine throughput (120-day demo):")
     for label, row in (("default", default), ("hourly", hourly), ("300 s", monitor)):

@@ -21,16 +21,8 @@ instead of parallelizing it.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-from pathlib import Path
-
+from _bench_json import write_bench_json
 from _incremental_common import measure_cache_passes
-from repro import __version__
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_OUTPUT = _REPO_ROOT / "BENCH_incremental.json"
 
 #: Minimum warm-over-cold speedup (every section memoized).
 MIN_WARM_SPEEDUP = 5.0
@@ -43,18 +35,17 @@ def test_incremental_report(canonical, tmp_path):
     passes = measure_cache_passes(canonical, tmp_path)
     info = canonical.database.digest_info()
 
-    report = {
-        "version": __version__,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "rows": info.rows,
-        "digest_chunks": info.num_chunks,
-        "chunk_rows": info.chunk_rows,
-        **passes,
-        "min_warm_speedup": MIN_WARM_SPEEDUP,
-        "min_append_speedup": MIN_APPEND_SPEEDUP,
-    }
-    _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench_json(
+        "incremental",
+        {
+            "rows": info.rows,
+            "digest_chunks": info.num_chunks,
+            "chunk_rows": info.chunk_rows,
+            **passes,
+            "min_warm_speedup": MIN_WARM_SPEEDUP,
+            "min_append_speedup": MIN_APPEND_SPEEDUP,
+        },
+    )
 
     print(
         f"\nincremental report ({info.rows} rows, {info.num_chunks} chunks):"

@@ -24,15 +24,12 @@ work in one process, so they run on any core count.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import time
-from pathlib import Path
 
 import numpy as np
 
-from repro import __version__, constants
+from _bench_json import write_bench_json
+from repro import constants
 from repro.core.prediction import (
     DEFAULT_LEADS_H,
     batch_change_features,
@@ -49,8 +46,6 @@ from repro.parallel import resolve_workers
 from repro.simulation.windows import LeadupWindow
 from repro.telemetry.records import PREDICTOR_CHANNELS
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_OUTPUT = _REPO_ROOT / "BENCH_ml.json"
 
 #: Minimum batch-over-loop featurization speedup (measured: >30x).
 MIN_FEATURIZATION_SPEEDUP = 5.0
@@ -190,14 +185,7 @@ def test_ml_throughput():
         "pool_speedup": round(serial_s / parallel_s, 2),
     }
 
-    report = {
-        "version": __version__,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "featurization": featurization,
-        "lead_sweep": sweep,
-    }
-    _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench_json("ml", {"featurization": featurization, "lead_sweep": sweep})
 
     print("\npredictor throughput (440 windows, 7 leads):")
     print(

@@ -23,33 +23,12 @@ can surface regressions.
 
 from __future__ import annotations
 
-import json
-import math
-import os
-import platform
 import time
-from pathlib import Path
 
-from _incremental_common import measure_cache_passes
-from repro import __version__
+from _bench_json import write_bench_json
+from _incremental_common import measure_cache_passes, rows_equal
 from repro.core.experiments import full_report
 from repro.parallel import resolve_workers
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_OUTPUT = _REPO_ROOT / "BENCH_report.json"
-
-
-def _rows_equal(a, b):
-    measured_match = a.measured_value == b.measured_value or (
-        math.isnan(a.measured_value) and math.isnan(b.measured_value)
-    )
-    return (
-        measured_match
-        and a.figure == b.figure
-        and a.metric == b.metric
-        and a.paper_value == b.paper_value
-        and a.unit == b.unit
-    )
 
 
 def test_report_throughput(canonical, tmp_path):
@@ -74,15 +53,12 @@ def test_report_throughput(canonical, tmp_path):
     for title in serial:
         assert len(serial[title]) == len(parallel[title]), title
         for a, b in zip(serial[title], parallel[title]):
-            assert _rows_equal(a, b), f"{title}: {a} != {b}"
+            assert rows_equal(a, b, tol=0.0), f"{title}: {a} != {b}"
 
     cache_passes = measure_cache_passes(canonical, tmp_path)
 
     total_rows = sum(len(rows) for rows in serial.values())
     report = {
-        "version": __version__,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
         "sections": len(serial),
         "rows": total_rows,
         "workers": pool_workers,
@@ -95,7 +71,7 @@ def test_report_throughput(canonical, tmp_path):
         "cache_warm_speedup": cache_passes["warm_speedup"],
         "cache_append_speedup": cache_passes["append_speedup"],
     }
-    _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench_json("report", report)
 
     print(
         f"\nfull report ({len(serial)} sections, {total_rows} rows):"

@@ -22,16 +22,14 @@ at least ``MIN_RECOVERY_SAMPLES_PER_SEC`` samples/s.
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 import shutil
 import tempfile
 import time
 from pathlib import Path
 from typing import Dict
 
-from repro import __version__
+from _bench_json import write_bench_json
 from repro.service import (
     DurabilityConfig,
     LiveOperationsService,
@@ -41,8 +39,6 @@ from repro.service import (
 )
 from repro.simulation import FacilityEngine, MiraScenario
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_OUTPUT = _REPO_ROOT / "BENCH_resilience.json"
 
 #: Durable streaming may cost at most this fraction of plain chunked
 #: throughput (WAL append + snapshot pickles per chunk).  Measured:
@@ -144,8 +140,6 @@ def test_resilience_throughput():
         shutil.rmtree(state_root, ignore_errors=True)
 
     report: Dict[str, object] = {
-        "version": __version__,
-        "python": platform.python_version(),
         "scenario": f"demo(days={_DAYS}, seed=17, dt_s=3600)",
         "streaming": {
             "samples": plain.bus.published,
@@ -163,7 +157,7 @@ def test_resilience_throughput():
             "samples_per_sec": round(recovery_rate, 1),
         },
     }
-    _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench_json("resilience", report)
 
     print("\nresilience (1-year hourly, 48 racks):")
     print(

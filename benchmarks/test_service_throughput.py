@@ -25,14 +25,12 @@ enough cores to make the comparison stable.
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 import time
-from pathlib import Path
 from typing import Dict, List, Tuple
 
-from repro import __version__, timeutil
+from _bench_json import write_bench_json
+from repro import timeutil
 from repro.service import (
     CountingSubscriber,
     Query,
@@ -44,8 +42,6 @@ from repro.service import (
 from repro.simulation import FacilityEngine, MiraScenario
 from repro.telemetry.records import Channel
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_OUTPUT = _REPO_ROOT / "BENCH_service.json"
 
 #: Floor on the mixed (cold + warm) hourly query workload.  The warm
 #: path is a dict hit (~1 us); even the cold path reduces only a
@@ -183,8 +179,6 @@ def test_service_throughput():
         return round(len(workload) / elapsed, 1)
 
     report: Dict[str, object] = {
-        "version": __version__,
-        "python": platform.python_version(),
         "scenario": f"demo(days={_DAYS}, seed=17, dt_s=3600)",
         "streaming": {
             "samples": chunked_report.published,
@@ -208,7 +202,7 @@ def test_service_throughput():
             "cache": info,
         },
     }
-    _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
+    write_bench_json("service", report)
 
     print("\nservice throughput (1-year hourly, 48 racks):")
     print(

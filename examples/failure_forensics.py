@@ -12,18 +12,26 @@ six-year RAS log:
    conversion failures dominating (Fig 14), landing anywhere on the
    machine (Fig 15).
 
+The paper-vs-measured tables are the paper report's Figs 10-11 and
+14-15 sections; the per-year counts, the floor map and the storm
+listing show what stands behind them.
+
 Run with::
 
     python examples/failure_forensics.py
 """
 
-import numpy as np
-
-from repro import constants, timeutil
+from repro import timeutil
 from repro.core.aftermath import analyze_aftermath
+from repro.core.experiments import (
+    SECTION_BUILDERS,
+    fig10_11_rows,
+    fig14_15_rows,
+    full_report,
+)
 from repro.core.failure_analysis import analyze_cmfs
 from repro.core.floormap import render_counts
-from repro.core.report import ReportRow, format_table
+from repro.core.report import format_table
 from repro.simulation.datasets import canonical_dataset
 
 
@@ -34,65 +42,22 @@ def main() -> None:
     raw = len(result.ras_log)
     fatal_cmf_raw = len(result.ras_log.fatal_cmf_events())
     print(f"\nRaw RAS log: {raw} messages ({fatal_cmf_raw} fatal coolant messages)")
+    sections = full_report(result)
+    title = {builder: title for title, builder in SECTION_BUILDERS}
 
-    # ---- Fig 10: the dedup and the timeline ------------------------------
+    # ---- Figs 10-11: the dedup, the timeline, the per-rack counts ----------
     analysis = analyze_cmfs(result.ras_log, result.database)
     print(f"After 6 h per-rack dedup: {analysis.total} true CMF events")
-    rows = [
-        ReportRow("Fig 10", "total CMFs over six years", constants.TOTAL_CMFS,
-                  analysis.total),
-        ReportRow("Fig 10", "fraction of CMFs in 2016",
-                  constants.CMF_2016_FRACTION, analysis.fraction_2016),
-        ReportRow("Fig 10", "longest quiet gap", 730,
-                  analysis.longest_quiet_gap_days, "days"),
-    ]
-    print("\n" + format_table(rows, "Fig 10 — CMF timeline"))
+    print("\n" + format_table(sections[title[fig10_11_rows]], title[fig10_11_rows]))
     print("per-year counts:", dict(sorted(analysis.yearly.items())))
-    print(f"bathtub-shaped? {analysis.is_bathtub()} (paper: no)")
-
-    # ---- Fig 11: per-rack distribution -------------------------------------
-    rows = [
-        ReportRow("Fig 11", "max CMFs on one rack", constants.MOST_CMF_COUNT,
-                  analysis.max_rack_count),
-        ReportRow("Fig 11", "min CMFs on one rack", constants.FEWEST_CMF_COUNT,
-                  analysis.min_rack_count),
-        ReportRow("Fig 11", "corr(CMFs, utilization)",
-                  constants.CMF_UTILIZATION_CORRELATION,
-                  analysis.utilization_correlation),
-        ReportRow("Fig 11", "corr(CMFs, outlet temperature)",
-                  constants.CMF_OUTLET_TEMP_CORRELATION,
-                  analysis.outlet_correlation),
-        ReportRow("Fig 11", "corr(CMFs, humidity)",
-                  constants.CMF_HUMIDITY_CORRELATION,
-                  analysis.humidity_correlation),
-    ]
-    print("\n" + format_table(rows, "Fig 11 — per-rack CMF distribution"))
-    print(f"most-failing rack : {analysis.most_failing_rack} (paper: (1, 8))")
-    print(f"least-failing rack: {analysis.least_failing_rack} (paper: (2, 7))")
     print()
     print(render_counts(analysis.rack_counts, title="CMFs per rack (the Fig 11 floor map):"))
 
-    # ---- Fig 14: what follows a CMF -----------------------------------------
+    # ---- Figs 14-15: what follows a CMF, and where -------------------------
     aftermath = analyze_aftermath(result.ras_log)
-    rows = [
-        ReportRow("Fig 14a", "rate at 6 h / rate at 3 h (upper bound 0.75)",
-                  constants.AFTERMATH_RATE_6H, aftermath.rate_6h),
-        ReportRow("Fig 14a", "rate at 48 h / rate at 3 h",
-                  constants.AFTERMATH_RATE_48H, aftermath.rate_48h),
-        ReportRow("Fig 14b", "AC-to-DC share of post-CMF failures",
-                  constants.AFTERMATH_TYPE_DISTRIBUTION["ac_dc_power"],
-                  aftermath.category_mix.get("ac_dc_power", 0.0)),
-        ReportRow("Fig 14b", "process-failure share",
-                  constants.AFTERMATH_TYPE_DISTRIBUTION["process"],
-                  aftermath.category_mix.get("process", 0.0)),
-    ]
-    print("\n" + format_table(rows, "Fig 14 — post-CMF failure rates and types"))
+    print("\n" + format_table(sections[title[fig14_15_rows]], title[fig14_15_rows]))
     print("relative rates by window:",
           {h: round(v, 3) for h, v in sorted(aftermath.relative_rates.items())})
-    print("category mix:",
-          {k: round(v, 3) for k, v in sorted(aftermath.category_mix.items())})
-
-    # ---- Fig 15: where the followers land --------------------------------------
     print("\nFig 15 — three example storms (followers vs epicenter):")
     for example in aftermath.examples:
         followers = ", ".join(r.label for r in example.follower_racks[:8])
@@ -106,10 +71,6 @@ def main() -> None:
             f"      max distance from epicenter: {example.max_distance():.1f} "
             f"rack pitches (local? {example.is_local()})"
         )
-    print(
-        f"\nfraction of storms escaping the epicenter neighbourhood: "
-        f"{aftermath.nonlocal_fraction():.2f} (paper: followers land anywhere)"
-    )
 
 
 if __name__ == "__main__":

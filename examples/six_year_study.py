@@ -1,154 +1,61 @@
 """The six-year monitoring study: Figs 2-9 end to end.
 
 Builds the canonical six-year dataset (the substitution for Mira's
-proprietary environmental database) and reruns the paper's temporal,
-spatial, and ambient analyses, printing a paper-vs-measured table for
-each figure.
+proprietary environmental database), prints the paper report's
+sections for the paper's temporal, spatial, and ambient analyses —
+each row with the paper's value, the measurement and its accepted
+band — and draws the traces and the floor map behind them.
 
 Run with::
 
     python examples/six_year_study.py
 
 The first run simulates six years of telemetry (~1 minute); the
-dataset is cached for the rest of the process.
+dataset is cached on disk for later runs.
 """
 
-from repro import constants
-from repro.core.environment import ambient_spatial, ambient_trends
+from repro.core.environment import ambient_trends
+from repro.core.experiments import SECTION_BUILDERS, full_report
 from repro.core.floormap import render_floor
-from repro.core.report import ReportRow, format_table, sparkline
-from repro.core.spatial import rack_coolant_profile, rack_power_profile
-from repro.core.trends import (
-    coolant_trends,
-    monthly_profile,
-    weekday_profile,
-    yearly_trends,
-)
+from repro.core.report import format_table, sparkline
+from repro.core.spatial import rack_power_profile
+from repro.core.trends import coolant_trends, yearly_trends
 from repro.simulation.datasets import canonical_dataset
-from repro.telemetry.records import Channel
 
 
 def main() -> None:
     print("Building the canonical six-year dataset (2014-2019)...")
     result = canonical_dataset()
     db = result.database
+    sections = full_report(result)
 
-    # ---- Fig 2: year-over-year power and utilization -------------------
     trends = yearly_trends(db)
-    rows = [
-        ReportRow("Fig 2a", "system power, start of 2014", constants.POWER_2014_MW,
-                  trends.power_start_mw, "MW"),
-        ReportRow("Fig 2a", "system power, end of 2019", constants.POWER_2019_MW,
-                  trends.power_end_mw, "MW"),
-        ReportRow("Fig 2b", "utilization, start of 2014", constants.UTILIZATION_2014,
-                  trends.utilization_start),
-        ReportRow("Fig 2b", "utilization, end of 2019", constants.UTILIZATION_2019,
-                  trends.utilization_end),
-    ]
-    print("\n" + format_table(rows, "Fig 2 — year-over-year trends"))
-    print("power   " + sparkline(trends.power_mw.values))
-    print("util    " + sparkline(trends.utilization.values))
-
-    # ---- Fig 3: coolant flow and temperatures --------------------------
     coolant = coolant_trends(db)
-    rows = [
-        ReportRow("Fig 3a", "flow before Theta", constants.FLOW_PRE_THETA_GPM,
-                  coolant.flow_pre_theta_gpm, "GPM"),
-        ReportRow("Fig 3a", "flow after Theta", constants.FLOW_POST_THETA_GPM,
-                  coolant.flow_post_theta_gpm, "GPM"),
-        ReportRow("Fig 3a", "flow overall std", constants.FLOW_STD_GPM,
-                  coolant.flow_std_gpm, "GPM"),
-        ReportRow("Fig 3b", "inlet mean", constants.INLET_TEMP_F,
-                  coolant.inlet_mean_f, "F"),
-        ReportRow("Fig 3b", "inlet overall std", constants.INLET_TEMP_STD_F,
-                  coolant.inlet_std_f, "F"),
-        ReportRow("Fig 3c", "outlet mean", constants.OUTLET_TEMP_F,
-                  coolant.outlet_mean_f, "F"),
-        ReportRow("Fig 3c", "outlet overall std", constants.OUTLET_TEMP_STD_F,
-                  coolant.outlet_std_f, "F"),
-    ]
-    print("\n" + format_table(rows, "Fig 3 — coolant trends (Theta joined July 2016)"))
-    print("flow    " + sparkline(coolant.total_flow.values))
-    print("inlet   " + sparkline(coolant.inlet.values))
-
-    # ---- Fig 4: monthly profiles ----------------------------------------
-    power_monthly = monthly_profile(db)
-    util_monthly = monthly_profile(db, Channel.UTILIZATION)
-    flow_monthly = monthly_profile(db, Channel.FLOW)
-    rows = [
-        ReportRow("Fig 4a", "power H2/H1 ratio (>1: late-year heavy)", 1.04,
-                  power_monthly.second_half_ratio),
-        ReportRow("Fig 4b", "utilization H2/H1 ratio", 1.02,
-                  util_monthly.second_half_ratio),
-        ReportRow("Fig 4c", "flow max monthly change vs January",
-                  constants.MONTHLY_COOLANT_MAX_CHANGE,
-                  flow_monthly.max_change_from_january),
-    ]
-    print("\n" + format_table(rows, "Fig 4 — monthly medians (allocation years)"))
-    print("monthly power medians:",
-          {m: round(v, 2) for m, v in sorted(power_monthly.by_month.items())})
-
-    # ---- Fig 5: day-of-week ------------------------------------------------
-    rows = [
-        ReportRow("Fig 5a", "non-Monday power increase",
-                  constants.NON_MONDAY_POWER_INCREASE,
-                  weekday_profile(db).non_monday_increase),
-        ReportRow("Fig 5b", "non-Monday utilization increase",
-                  constants.NON_MONDAY_UTILIZATION_INCREASE,
-                  weekday_profile(db, Channel.UTILIZATION).non_monday_increase),
-        ReportRow("Fig 5e", "non-Monday outlet increase",
-                  constants.NON_MONDAY_OUTLET_INCREASE,
-                  weekday_profile(db, Channel.OUTLET_TEMPERATURE).non_monday_increase),
-    ]
-    print("\n" + format_table(rows, "Fig 5 — Monday maintenance signature"))
-
-    # ---- Fig 6: rack power and utilization ----------------------------------
-    rack_power = rack_power_profile(db)
-    rows = [
-        ReportRow("Fig 6a", "rack power spread", constants.RACK_POWER_SPREAD,
-                  rack_power.power_spread),
-        ReportRow("Fig 6", "power/utilization correlation",
-                  constants.POWER_UTILIZATION_CORRELATION,
-                  rack_power.power_utilization_correlation),
-    ]
-    print("\n" + format_table(rows, "Fig 6 — rack-level power & utilization"))
-    print(f"highest power rack       : {rack_power.highest_power_rack} (paper: (0, D))")
-    print(f"highest utilization rack : {rack_power.highest_utilization_rack} (paper: (0, A))")
-    print(f"lowest utilization rack  : {rack_power.lowest_utilization_rack} (paper: (2, D))")
-    print(f"highest utilization row  : {rack_power.highest_utilization_row} (paper: 0)")
-    print()
-    print(render_floor(rack_power.power_kw, title="Mean rack power (the Fig 6a floor map):"))
-
-    # ---- Fig 7: rack coolant -----------------------------------------------
-    rack_coolant = rack_coolant_profile(db)
-    rows = [
-        ReportRow("Fig 7a", "rack flow spread", constants.RACK_FLOW_SPREAD,
-                  rack_coolant.flow_spread),
-        ReportRow("Fig 7b", "rack inlet spread", constants.RACK_INLET_SPREAD,
-                  rack_coolant.inlet_spread),
-        ReportRow("Fig 7c", "rack outlet spread", constants.RACK_OUTLET_SPREAD,
-                  rack_coolant.outlet_spread),
-    ]
-    print("\n" + format_table(rows, "Fig 7 — rack-level coolant telemetry"))
-
-    # ---- Figs 8-9: ambient conditions ----------------------------------------
-    ambient = ambient_trends(db)
-    spatial = ambient_spatial(db)
-    rows = [
-        ReportRow("Fig 8a", "DC temperature std", constants.DC_TEMP_STD_F,
-                  ambient.temperature_std_f, "F"),
-        ReportRow("Fig 8b", "DC humidity std", constants.DC_HUMIDITY_STD_RH,
-                  ambient.humidity_std_rh, "%RH"),
-        ReportRow("Fig 9a", "rack DC-temperature spread",
-                  constants.RACK_DC_TEMP_SPREAD, spatial.temperature_spread),
-        ReportRow("Fig 9b", "rack DC-humidity spread",
-                  constants.RACK_DC_HUMIDITY_SPREAD, spatial.humidity_spread),
-    ]
-    print("\n" + format_table(rows, "Figs 8-9 — ambient temperature & humidity"))
-    print("humidity trace  " + sparkline(ambient.humidity.values))
-    temp_delta, humidity_delta = spatial.row_end_effect()
-    print(f"row-end effect: {temp_delta:+.1f} F warmer, {humidity_delta:+.1f} %RH drier")
-    print(f"localized hotspots: {[r.label for r in spatial.hotspots()]} (paper: (1, 8))")
+    # What each figure's table is followed by, keyed by its section builder.
+    pictures = {
+        "fig2_rows": [
+            "power   " + sparkline(trends.power_mw.values),
+            "util    " + sparkline(trends.utilization.values),
+        ],
+        "fig3_rows": [
+            "flow    " + sparkline(coolant.total_flow.values),
+            "inlet   " + sparkline(coolant.inlet.values),
+        ],
+        "fig6_rows": [
+            "",
+            render_floor(
+                rack_power_profile(db).power_kw,
+                title="Mean rack power (the Fig 6a floor map):",
+            ),
+        ],
+        "fig8_rows": [
+            "humidity trace  " + sparkline(ambient_trends(db).humidity.values)
+        ],
+    }
+    for title, builder in SECTION_BUILDERS[:8]:  # Figs 2-9
+        print("\n" + format_table(sections[title], title))
+        for line in pictures.get(builder.__name__, ()):
+            print(line)
 
 
 if __name__ == "__main__":

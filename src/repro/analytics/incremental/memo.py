@@ -38,8 +38,9 @@ from repro.metrics import Counters
 SECTION_CACHE_ENV = "REPRO_SECTION_CACHE"
 
 #: File magic; bump on a format change (each old entry is then
-#: quarantined once, counted as corrupt, and recomputed).
-_MAGIC = b"repro-section-memo-v2"
+#: quarantined once, counted as corrupt, and recomputed).  v3: rows
+#: carry their band, which a v2 row would unpickle without.
+_MAGIC = b"repro-section-memo-v3"
 
 #: Sentinel root for sections whose inputs carry no telemetry at all
 #: (e.g. the RAS-log-only aftermath section): their rows survive an

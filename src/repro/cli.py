@@ -8,7 +8,7 @@ Subcommands, mirroring how the package is used:
   figures,
 * ``predict`` — train and evaluate the CMF predictor (Fig 13),
 * ``experiments`` — regenerate EXPERIMENTS.md from the canonical
-  six-year dataset,
+  six-year dataset (exit 1 if a row lies outside its band),
 * ``cache`` — inspect (``info``) or prune (``clear``) the on-disk
   dataset cache under ``~/.cache/repro``,
 * ``validate`` — run the physics/bookkeeping consistency checks,
@@ -135,7 +135,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     experiments = commands.add_parser(
-        "experiments", help="regenerate EXPERIMENTS.md from the canonical dataset"
+        "experiments",
+        help=(
+            "regenerate EXPERIMENTS.md from the canonical dataset; exit 1 "
+            "if a row lies outside its band"
+        ),
     )
     experiments.add_argument(
         "--out", type=Path, default=Path("EXPERIMENTS.md"), help="output file"
@@ -491,11 +495,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.tools.experiments import write_experiments_md
+    from repro.tools.experiments import main
 
-    path = write_experiments_md(args.out, workers=args.workers)
-    print(f"wrote {path}")
-    return 0
+    return main(args.out, workers=args.workers)
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:

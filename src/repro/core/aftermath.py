@@ -68,12 +68,12 @@ class AftermathAnalysis:
     @property
     def rate_6h(self) -> float:
         """Paper: the 6 h rate is below 75 % of the 3 h rate."""
-        return self.relative_rates[6.0]
+        return self.relative_rates.get(6.0, float("nan"))
 
     @property
     def rate_48h(self) -> float:
         """Paper: the 48 h rate drops to ~10 % of the 3 h rate."""
-        return self.relative_rates[48.0]
+        return self.relative_rates.get(48.0, float("nan"))
 
     @property
     def dominant_category(self) -> str:
@@ -87,6 +87,13 @@ class AftermathAnalysis:
             return 0.0
         nonlocal_count = sum(1 for e in self.examples if not e.is_local(radius))
         return nonlocal_count / len(self.examples)
+
+
+#: The aftermath of a log without CMFs: no lag to measure a rate from,
+#: so both rates read NaN, and no follow-up, share or example.
+NO_AFTERMATH = AftermathAnalysis(
+    relative_rates={}, category_mix={}, examples=(), cmf_count=0, followup_count=0
+)
 
 
 def analyze_aftermath(

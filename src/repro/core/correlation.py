@@ -33,6 +33,14 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((a - a.mean()) * (b - b.mean())) / (a_std * b_std))
 
 
+def pearson_or_nan(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's r, or NaN where it is undefined because an input is
+    constant (per-rack means over too little data for racks to differ)."""
+    if np.std(x) == 0.0 or np.std(y) == 0.0:
+        return float("nan")
+    return pearson(x, y)
+
+
 def _ranks(values: np.ndarray) -> np.ndarray:
     """Fractional ranks (ties get the mean of their positions)."""
     order = np.argsort(values, kind="stable")

@@ -3,13 +3,17 @@
 :func:`full_report` runs every analysis in the package against a
 simulation result and returns the complete list of
 :class:`~repro.core.report.ReportRow` comparisons, grouped by figure.
+Each row carries the band its measurement is accepted in, next to the
+paper's value; the few rows without one are reported, not gated.
 ``EXPERIMENTS.md`` is generated from this module (see
-:func:`render_markdown`), and the figure benchmarks assert subsets of
-the same rows — one source of truth for what "reproduced" means.
+:func:`render_markdown`), ``repro experiments`` fails on any row
+outside its band, and tier-1 checks every band on the canonical study
+(``tests/test_calibration.py``) — one table of what "reproduced" means.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -29,12 +33,12 @@ from repro.analytics.incremental.sections import (
     rack_means,
     system_series,
 )
-from repro.core.aftermath import analyze_aftermath
+from repro.core.aftermath import NO_AFTERMATH, analyze_aftermath
 from repro.core.environment import AmbientSpatial, ambient_trends_from_series
 from repro.core.failure_analysis import analyze_cmfs
 from repro.core.leadup import aggregate_leadup
 from repro.core.prediction import sweep_leads
-from repro.core.report import ReportRow, format_value
+from repro.core.report import Band, ReportRow, format_band, format_value
 from repro.core.spatial import RackCoolantProfile, RackPowerProfile
 from repro.core.trends import (
     coolant_trends_from_series,
@@ -50,6 +54,14 @@ from repro.telemetry.records import Channel
 #: A fold-state payload (see :mod:`repro.analytics.incremental.sections`).
 FoldState = Dict[str, np.ndarray]
 
+#: The bands of the yes/no rows (1.0 = yes, 0.0 = no).
+YES: Band = (1.0, 1.0)
+NO: Band = (0.0, 0.0)
+
+
+def _exactly(value: float) -> Band:
+    return (float(value), float(value))
+
 
 def fig2_rows(state: FoldState) -> List[ReportRow]:
     trends = yearly_trends_from_series(
@@ -58,13 +70,17 @@ def fig2_rows(state: FoldState) -> List[ReportRow]:
     )
     return [
         ReportRow("Fig 2a", "system power at start of 2014",
-                  constants.POWER_2014_MW, trends.power_start_mw, "MW"),
+                  constants.POWER_2014_MW, trends.power_start_mw, "MW",
+                  band=(2.35, 2.65)),
         ReportRow("Fig 2a", "system power at end of 2019",
-                  constants.POWER_2019_MW, trends.power_end_mw, "MW"),
+                  constants.POWER_2019_MW, trends.power_end_mw, "MW",
+                  band=(2.75, 3.05)),
         ReportRow("Fig 2b", "utilization at start of 2014",
-                  constants.UTILIZATION_2014, trends.utilization_start),
+                  constants.UTILIZATION_2014, trends.utilization_start,
+                  band=(0.76, 0.84)),
         ReportRow("Fig 2b", "utilization at end of 2019",
-                  constants.UTILIZATION_2019, trends.utilization_end),
+                  constants.UTILIZATION_2019, trends.utilization_end,
+                  band=(0.89, 0.97)),
     ]
 
 
@@ -76,19 +92,26 @@ def fig3_rows(state: FoldState) -> List[ReportRow]:
     )
     return [
         ReportRow("Fig 3a", "total flow before Theta",
-                  constants.FLOW_PRE_THETA_GPM, trends.flow_pre_theta_gpm, "GPM"),
+                  constants.FLOW_PRE_THETA_GPM, trends.flow_pre_theta_gpm, "GPM",
+                  band=(1225.0, 1275.0)),
         ReportRow("Fig 3a", "total flow after Theta",
-                  constants.FLOW_POST_THETA_GPM, trends.flow_post_theta_gpm, "GPM"),
+                  constants.FLOW_POST_THETA_GPM, trends.flow_post_theta_gpm, "GPM",
+                  band=(1274.0, 1326.0)),
         ReportRow("Fig 3a", "flow overall std",
-                  constants.FLOW_STD_GPM, trends.flow_std_gpm, "GPM"),
+                  constants.FLOW_STD_GPM, trends.flow_std_gpm, "GPM",
+                  band=(25.0, 60.0)),
         ReportRow("Fig 3b", "inlet coolant mean",
-                  constants.INLET_TEMP_F, trends.inlet_mean_f, "F"),
+                  constants.INLET_TEMP_F, trends.inlet_mean_f, "F",
+                  band=(62.5, 65.5)),
         ReportRow("Fig 3b", "inlet overall std",
-                  constants.INLET_TEMP_STD_F, trends.inlet_std_f, "F"),
+                  constants.INLET_TEMP_STD_F, trends.inlet_std_f, "F",
+                  band=(0.3, 1.3)),
         ReportRow("Fig 3c", "outlet coolant mean",
-                  constants.OUTLET_TEMP_F, trends.outlet_mean_f, "F"),
+                  constants.OUTLET_TEMP_F, trends.outlet_mean_f, "F",
+                  band=(77.0, 81.0)),
         ReportRow("Fig 3c", "outlet overall std",
-                  constants.OUTLET_TEMP_STD_F, trends.outlet_std_f, "F"),
+                  constants.OUTLET_TEMP_STD_F, trends.outlet_std_f, "F",
+                  band=(0.3, 2.2)),
     ]
 
 
@@ -104,18 +127,18 @@ def fig4_rows(state: FoldState) -> List[ReportRow]:
     )
     return [
         ReportRow("Fig 4a", "power H2/H1 median ratio", 1.04,
-                  power.second_half_ratio),
+                  power.second_half_ratio, band=(1.005, inf)),
         ReportRow("Fig 4b", "utilization H2/H1 median ratio", 1.02,
-                  util.second_half_ratio),
+                  util.second_half_ratio, band=(1.002, inf)),
         ReportRow("Fig 4c", "flow max monthly change vs January",
                   constants.MONTHLY_COOLANT_MAX_CHANGE,
-                  flow.max_change_from_january),
+                  flow.max_change_from_january, band=(-inf, 0.04)),
         ReportRow("Fig 4d", "inlet max monthly change vs January",
                   constants.MONTHLY_COOLANT_MAX_CHANGE,
-                  inlet.max_change_from_january),
+                  inlet.max_change_from_january, band=(-inf, 0.04)),
         ReportRow("Fig 4e", "outlet max monthly change vs January",
                   constants.MONTHLY_COOLANT_MAX_CHANGE,
-                  outlet.max_change_from_january),
+                  outlet.max_change_from_january, band=(-inf, 0.04)),
     ]
 
 
@@ -126,17 +149,17 @@ def fig5_rows(state: FoldState) -> List[ReportRow]:
     return [
         ReportRow("Fig 5a", "non-Monday power increase",
                   constants.NON_MONDAY_POWER_INCREASE,
-                  power.non_monday_increase),
+                  power.non_monday_increase, band=(0.025, 0.095)),
         ReportRow("Fig 5b", "non-Monday utilization increase",
                   constants.NON_MONDAY_UTILIZATION_INCREASE,
-                  util.non_monday_increase),
+                  util.non_monday_increase, band=(0.0, 0.035)),
         ReportRow("Fig 5c", "non-Monday flow change", 0.0,
-                  flow.non_monday_increase),
+                  flow.non_monday_increase, band=(-0.01, 0.01)),
         ReportRow("Fig 5d", "non-Monday inlet change", 0.0,
-                  inlet.non_monday_increase),
+                  inlet.non_monday_increase, band=(-0.01, 0.01)),
         ReportRow("Fig 5e", "non-Monday outlet increase",
                   constants.NON_MONDAY_OUTLET_INCREASE,
-                  outlet.non_monday_increase),
+                  outlet.non_monday_increase, band=(0.002, 0.05)),
     ]
 
 
@@ -147,18 +170,20 @@ def fig6_rows(state: FoldState) -> List[ReportRow]:
     )
     return [
         ReportRow("Fig 6a", "rack power spread",
-                  constants.RACK_POWER_SPREAD, profile.power_spread),
+                  constants.RACK_POWER_SPREAD, profile.power_spread,
+                  band=(0.08, 0.27)),
         ReportRow("Fig 6a", "highest-power rack is (0, D)", 1.0,
                   float(profile.highest_power_rack
-                        == _rack(constants.HIGHEST_POWER_RACK))),
+                        == _rack(constants.HIGHEST_POWER_RACK)), band=YES),
         ReportRow("Fig 6b", "highest-utilization rack is (0, A)", 1.0,
                   float(profile.highest_utilization_rack
-                        == _rack(constants.HIGHEST_UTILIZATION_RACK))),
+                        == _rack(constants.HIGHEST_UTILIZATION_RACK)), band=YES),
         ReportRow("Fig 6b", "lowest-utilization rack is (2, D)", 1.0,
-                  float(profile.lowest_utilization_rack == _rack((2, 0xD)))),
+                  float(profile.lowest_utilization_rack == _rack((2, 0xD))),
+                  band=YES),
         ReportRow("Fig 6", "corr(rack power, rack utilization)",
                   constants.POWER_UTILIZATION_CORRELATION,
-                  profile.power_utilization_correlation),
+                  profile.power_utilization_correlation, band=(0.2, 0.7)),
     ]
 
 
@@ -170,13 +195,16 @@ def fig7_rows(state: FoldState) -> List[ReportRow]:
     )
     return [
         ReportRow("Fig 7a", "rack flow spread",
-                  constants.RACK_FLOW_SPREAD, profile.flow_spread),
+                  constants.RACK_FLOW_SPREAD, profile.flow_spread,
+                  band=(0.05, 0.17)),
         ReportRow("Fig 7b", "rack inlet spread",
-                  constants.RACK_INLET_SPREAD, profile.inlet_spread),
+                  constants.RACK_INLET_SPREAD, profile.inlet_spread,
+                  band=(-inf, 0.02)),
         ReportRow("Fig 7c", "rack outlet spread",
-                  constants.RACK_OUTLET_SPREAD, profile.outlet_spread),
+                  constants.RACK_OUTLET_SPREAD, profile.outlet_spread,
+                  band=(0.01, 0.06)),
         ReportRow("Fig 7a", "mean per-rack flow", 26.0,
-                  profile.mean_flow_per_rack_gpm, "GPM"),
+                  profile.mean_flow_per_rack_gpm, "GPM", band=(24.0, 29.0)),
     ]
 
 
@@ -187,19 +215,19 @@ def fig8_rows(state: FoldState) -> List[ReportRow]:
     )
     return [
         ReportRow("Fig 8a", "DC temperature min", constants.DC_TEMP_MIN_F,
-                  trends.temperature_min_f, "F"),
+                  trends.temperature_min_f, "F", band=(72.0, 80.0)),
         ReportRow("Fig 8a", "DC temperature max", constants.DC_TEMP_MAX_F,
-                  trends.temperature_max_f, "F"),
+                  trends.temperature_max_f, "F", band=(85.0, 95.0)),
         ReportRow("Fig 8a", "DC temperature std", constants.DC_TEMP_STD_F,
-                  trends.temperature_std_f, "F"),
+                  trends.temperature_std_f, "F", band=(1.2, 3.78)),
         ReportRow("Fig 8b", "DC humidity min", constants.DC_HUMIDITY_MIN_RH,
-                  trends.humidity_min_rh, "%RH"),
+                  trends.humidity_min_rh, "%RH", band=(22.0, 30.0)),
         ReportRow("Fig 8b", "DC humidity max", constants.DC_HUMIDITY_MAX_RH,
-                  trends.humidity_max_rh, "%RH"),
+                  trends.humidity_max_rh, "%RH", band=(33.0, 42.0)),
         ReportRow("Fig 8b", "DC humidity std", constants.DC_HUMIDITY_STD_RH,
-                  trends.humidity_std_rh, "%RH"),
+                  trends.humidity_std_rh, "%RH", band=(2.16, 5.16)),
         ReportRow("Fig 8b", "summer humidity exceeds winter", 1.0,
-                  float(trends.humidity_is_summer_seasonal)),
+                  float(trends.humidity_is_summer_seasonal), band=YES),
     ]
 
 
@@ -211,43 +239,54 @@ def fig9_rows(state: FoldState) -> List[ReportRow]:
     temp_delta, humidity_delta = spatial.row_end_effect()
     return [
         ReportRow("Fig 9a", "rack DC-temperature spread",
-                  constants.RACK_DC_TEMP_SPREAD, spatial.temperature_spread),
+                  constants.RACK_DC_TEMP_SPREAD, spatial.temperature_spread,
+                  band=(0.05, 0.17)),
         ReportRow("Fig 9b", "rack DC-humidity spread",
-                  constants.RACK_DC_HUMIDITY_SPREAD, spatial.humidity_spread),
+                  constants.RACK_DC_HUMIDITY_SPREAD, spatial.humidity_spread,
+                  band=(0.24, 0.48)),
         ReportRow("Fig 9", "hotspot (1, 8) detected", 1.0,
-                  float(_rack(constants.HUMIDITY_HOTSPOT_RACK) in spatial.hotspots())),
-        ReportRow("Sec V", "row-end temperature excess", 2.0, temp_delta, "F"),
-        ReportRow("Sec V", "row-end humidity deficit", -3.0, humidity_delta, "%RH"),
+                  float(_rack(constants.HUMIDITY_HOTSPOT_RACK) in spatial.hotspots()),
+                  band=YES),
+        ReportRow("Sec V", "row-end temperature excess", 2.0, temp_delta, "F",
+                  band=(0.5, inf)),
+        ReportRow("Sec V", "row-end humidity deficit", -3.0, humidity_delta, "%RH",
+                  band=(-inf, -0.5)),
     ]
 
 
 def fig10_11_rows(result: SimulationResult) -> List[ReportRow]:
     analysis = analyze_cmfs(result.ras_log, result.database)
     return [
-        ReportRow("Fig 10", "total CMFs", constants.TOTAL_CMFS, analysis.total),
+        ReportRow("Fig 10", "total CMFs", constants.TOTAL_CMFS, analysis.total,
+                  band=_exactly(constants.TOTAL_CMFS)),
         ReportRow("Fig 10", "fraction of CMFs in 2016",
-                  constants.CMF_2016_FRACTION, analysis.fraction_2016),
+                  constants.CMF_2016_FRACTION, analysis.fraction_2016,
+                  band=(0.32, 0.48)),
         ReportRow("Fig 10", "longest quiet gap (paper: > 2 years)", 730.0,
-                  analysis.longest_quiet_gap_days, "days"),
+                  analysis.longest_quiet_gap_days, "days", band=(365.0, inf)),
         ReportRow("Fig 10", "bathtub-shaped (paper: no)", 0.0,
-                  float(analysis.is_bathtub())),
+                  float(analysis.is_bathtub()), band=NO),
         ReportRow("Fig 11", "max CMFs on one rack",
-                  constants.MOST_CMF_COUNT, analysis.max_rack_count),
+                  constants.MOST_CMF_COUNT, analysis.max_rack_count,
+                  band=_exactly(constants.MOST_CMF_COUNT)),
         ReportRow("Fig 11", "min CMFs on one rack",
-                  constants.FEWEST_CMF_COUNT, analysis.min_rack_count),
+                  constants.FEWEST_CMF_COUNT, analysis.min_rack_count,
+                  band=_exactly(constants.FEWEST_CMF_COUNT)),
         ReportRow("Fig 11", "most-failing rack is (1, 8)", 1.0,
-                  float(analysis.most_failing_rack == _rack(constants.MOST_CMF_RACK))),
+                  float(analysis.most_failing_rack == _rack(constants.MOST_CMF_RACK)),
+                  band=YES),
         ReportRow("Fig 11", "least-failing rack is (2, 7)", 1.0,
-                  float(analysis.least_failing_rack == _rack(constants.FEWEST_CMF_RACK))),
+                  float(analysis.least_failing_rack == _rack(constants.FEWEST_CMF_RACK)),
+                  band=YES),
         ReportRow("Sec VI-A", "corr(CMFs, utilization)",
                   constants.CMF_UTILIZATION_CORRELATION,
-                  analysis.utilization_correlation),
+                  analysis.utilization_correlation, band=(-0.4, 0.4)),
         ReportRow("Sec VI-A", "corr(CMFs, outlet temperature)",
                   constants.CMF_OUTLET_TEMP_CORRELATION,
-                  analysis.outlet_correlation),
+                  analysis.outlet_correlation, band=(-0.4, 0.4)),
         ReportRow("Sec VI-A", "corr(CMFs, humidity)",
                   constants.CMF_HUMIDITY_CORRELATION,
-                  analysis.humidity_correlation),
+                  analysis.humidity_correlation, band=(-0.4, 0.4)),
     ]
 
 
@@ -255,14 +294,17 @@ def fig12_rows(positive_windows: Sequence[LeadupWindow]) -> List[ReportRow]:
     aggregate = aggregate_leadup(positive_windows)
     return [
         ReportRow("Fig 12b", "deepest inlet sag",
-                  -constants.LEADUP_INLET_DROP, aggregate.inlet_min_change),
+                  -constants.LEADUP_INLET_DROP, aggregate.inlet_min_change,
+                  band=(-0.09, -0.02)),
         ReportRow("Fig 12b", "inlet change at the failure",
-                  constants.LEADUP_INLET_RISE, aggregate.inlet_final_change),
+                  constants.LEADUP_INLET_RISE, aggregate.inlet_final_change,
+                  band=(0.02, 0.12)),
         ReportRow("Fig 12c", "deepest outlet sag",
-                  -constants.LEADUP_OUTLET_DROP, aggregate.outlet_min_change),
+                  -constants.LEADUP_OUTLET_DROP, aggregate.outlet_min_change,
+                  band=(-0.09, -0.02)),
         ReportRow("Fig 12a", "flow stable until (h before CMF)",
                   constants.LEADUP_FLOW_COLLAPSE_HOURS,
-                  aggregate.flow_stable_until_h, "h"),
+                  aggregate.flow_stable_until_h, "h", band=(-inf, 0.5)),
     ]
 
 
@@ -278,27 +320,33 @@ def fig13_rows(
     by_lead = {e.lead_h: e.report for e in evaluations}
     return [
         ReportRow("Fig 13", "accuracy at 6 h lead",
-                  constants.PREDICTOR_ACCURACY_6H, by_lead[6.0].accuracy),
+                  constants.PREDICTOR_ACCURACY_6H, by_lead[6.0].accuracy,
+                  band=(0.78, 0.98)),
         ReportRow("Fig 13", "accuracy at 3 h lead", 0.93, by_lead[3.0].accuracy),
         ReportRow("Fig 13", "accuracy at 30 min lead",
-                  constants.PREDICTOR_ACCURACY_30MIN, by_lead[0.5].accuracy),
+                  constants.PREDICTOR_ACCURACY_30MIN, by_lead[0.5].accuracy,
+                  band=(0.9, inf)),
         ReportRow("Sec VI-B", "FPR at 6 h lead",
                   constants.PREDICTOR_FPR_6H, by_lead[6.0].false_positive_rate),
         ReportRow("Sec VI-B", "FPR at 30 min lead",
-                  constants.PREDICTOR_FPR_30MIN, by_lead[0.5].false_positive_rate),
+                  constants.PREDICTOR_FPR_30MIN, by_lead[0.5].false_positive_rate,
+                  band=(-inf, 0.08)),
     ]
 
 
 def fig14_15_rows(result: SimulationResult) -> List[ReportRow]:
-    analysis = analyze_aftermath(result.ras_log)
+    log = result.ras_log
+    # Lags run from a CMF; a log without one has nothing to measure.
+    has_cmf = any(event.is_cmf and event.is_fatal for event in log)
+    analysis = analyze_aftermath(log) if has_cmf else NO_AFTERMATH
     return [
         ReportRow("Fig 14a", "rate at 6 h / rate at 3 h (paper: < 0.75)",
-                  constants.AFTERMATH_RATE_6H, analysis.rate_6h),
+                  constants.AFTERMATH_RATE_6H, analysis.rate_6h, band=(-inf, 0.9)),
         ReportRow("Fig 14a", "rate at 48 h / rate at 3 h",
-                  constants.AFTERMATH_RATE_48H, analysis.rate_48h),
+                  constants.AFTERMATH_RATE_48H, analysis.rate_48h, band=(-inf, 0.3)),
         ReportRow("Fig 14b", "AC-to-DC power share",
                   constants.AFTERMATH_TYPE_DISTRIBUTION["ac_dc_power"],
-                  analysis.category_mix.get("ac_dc_power", 0.0)),
+                  analysis.category_mix.get("ac_dc_power", 0.0), band=(0.38, 0.62)),
         ReportRow("Fig 14b", "BQC share",
                   constants.AFTERMATH_TYPE_DISTRIBUTION["bqc"],
                   analysis.category_mix.get("bqc", 0.0)),
@@ -307,11 +355,11 @@ def fig14_15_rows(result: SimulationResult) -> List[ReportRow]:
                   analysis.category_mix.get("bql", 0.0)),
         ReportRow("Fig 14b", "process share (paper: < 2 %)",
                   constants.AFTERMATH_TYPE_DISTRIBUTION["process"],
-                  analysis.category_mix.get("process", 0.0)),
+                  analysis.category_mix.get("process", 0.0), band=(-inf, 0.06)),
         ReportRow("Fig 15", "example storms extracted", 3.0,
-                  float(len(analysis.examples))),
+                  float(len(analysis.examples)), band=_exactly(3.0)),
         ReportRow("Fig 15", "storms with non-local followers", 1.0,
-                  analysis.nonlocal_fraction()),
+                  analysis.nonlocal_fraction(), band=(0.5, inf)),
     ]
 
 
@@ -485,12 +533,13 @@ def render_markdown(sections: Dict[str, List[ReportRow]]) -> str:
     for title, rows in sections.items():
         lines.append(f"### {title}")
         lines.append("")
-        lines.append("| source | metric | paper | measured | unit |")
-        lines.append("|---|---|---:|---:|---|")
+        lines.append("| source | metric | paper | measured | unit | band | ok |")
+        lines.append("|---|---|---:|---:|---|---|---|")
         for row in rows:
             lines.append(
                 f"| {row.figure} | {row.metric} | {format_value(row.paper_value)} "
-                f"| {format_value(row.measured_value)} | {row.unit} |"
+                f"| {format_value(row.measured_value)} | {row.unit} "
+                f"| {format_band(row.band)} | {row.ok_mark} |"
             )
         lines.append("")
     return "\n".join(lines)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import constants, timeutil
-from repro.core.correlation import pearson
+from repro.core.correlation import pearson_or_nan
 from repro.facility.topology import RackId
 from repro.telemetry.database import EnvironmentalDatabase
 from repro.telemetry.ras import RasEvent, RasLog, Severity
@@ -173,9 +173,9 @@ def analyze_cmfs(
         utilization = database.channel(Channel.UTILIZATION).per_rack_mean()
         outlet = database.channel(Channel.OUTLET_TEMPERATURE).per_rack_mean()
         humidity = database.channel(Channel.DC_HUMIDITY).per_rack_mean()
-        util_corr = pearson(rack_counts, utilization)
-        outlet_corr = pearson(rack_counts, outlet)
-        humidity_corr = pearson(rack_counts, humidity)
+        util_corr = pearson_or_nan(rack_counts, utilization)
+        outlet_corr = pearson_or_nan(rack_counts, outlet)
+        humidity_corr = pearson_or_nan(rack_counts, humidity)
     else:
         util_corr = outlet_corr = humidity_corr = float("nan")
 

@@ -13,7 +13,7 @@ from typing import Tuple
 import numpy as np
 
 from repro import constants
-from repro.core.correlation import pearson
+from repro.core.correlation import pearson_or_nan
 from repro.facility.topology import RackId
 from repro.telemetry.database import EnvironmentalDatabase
 from repro.telemetry.records import Channel
@@ -69,7 +69,7 @@ class RackPowerProfile:
     @property
     def power_utilization_correlation(self) -> float:
         """Paper: r = 0.45 — power and utilization only loosely track."""
-        return pearson(self.power_kw, self.utilization)
+        return pearson_or_nan(self.power_kw, self.utilization)
 
     @property
     def highest_utilization_row(self) -> int:

@@ -276,16 +276,18 @@ class WeekdayProfile:
 
     @property
     def monday(self) -> float:
-        return self.by_weekday[constants.MAINTENANCE_WEEKDAY]
+        """The Monday mean; NaN when the data holds no Monday."""
+        return self.by_weekday.get(constants.MAINTENANCE_WEEKDAY, float("nan"))
 
     @property
     def non_monday_mean(self) -> float:
+        """The mean over the other weekdays; NaN when there are none."""
         others = [
             v
             for day, v in self.by_weekday.items()
             if day != constants.MAINTENANCE_WEEKDAY
         ]
-        return float(np.mean(others))
+        return float(np.mean(others)) if others else float("nan")
 
     @property
     def non_monday_increase(self) -> float:

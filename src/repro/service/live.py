@@ -42,6 +42,7 @@ from repro.service.bus import BusChunk, BusReport, ReplayBus
 from repro.service.durability import (
     DurabilityConfig,
     RecoveryReport,
+    SnapshotCounters,
     SnapshotStore,
     WriteAheadLog,
     replay_component,
@@ -109,6 +110,9 @@ class ServiceReport:
     chaos: Dict[str, ChaosCounters] = dataclasses.field(default_factory=dict)
     #: How this service instance was recovered (``None`` = fresh start).
     recovery: Optional[RecoveryReport] = None
+    #: What snapshot loads found wrong, from recovery through this run
+    #: (``None`` without durability).
+    snapshots: Optional[SnapshotCounters] = None
 
 
 class LiveOperationsService:
@@ -208,16 +212,20 @@ class LiveOperationsService:
         base_seq: int,
         wal_resume: bool,
         start_epoch_s: Optional[float] = None,
+        snapshots: Optional[SnapshotStore] = None,
     ) -> None:
         """Wire bus, durability hooks, and supervision around the
-        (possibly recovered) components."""
+        (possibly recovered) components; ``snapshots`` is the store
+        recovery loaded from, kept so its counters reach the report."""
         config = self.config
         start = self._start_epoch_s if start_epoch_s is None else start_epoch_s
         self._wal: Optional[WriteAheadLog] = None
         self._snapshots: Optional[SnapshotStore] = None
         durability = config.durability
         if durability is not None:
-            self._snapshots = SnapshotStore(durability.root)
+            self._snapshots = (
+                snapshots if snapshots is not None else SnapshotStore(durability.root)
+            )
             self._wal = WriteAheadLog(
                 durability.wal_path, fsync=durability.fsync, resume=wal_resume
             )
@@ -327,6 +335,11 @@ class LiveOperationsService:
                 else {}
             ),
             recovery=self.recovery,
+            snapshots=(
+                self._snapshots.counters.copy()
+                if self._snapshots is not None
+                else None
+            ),
         )
 
     def abort(self, join_timeout_s: float = 10.0) -> None:
@@ -414,6 +427,9 @@ class LiveOperationsService:
         else:
             resume_start = None
         service._build_runtime(
-            base_seq=resume_seq, wal_resume=True, start_epoch_s=resume_start
+            base_seq=resume_seq,
+            wal_resume=True,
+            start_epoch_s=resume_start,
+            snapshots=snapshots,
         )
         return service

@@ -241,10 +241,17 @@ class TimeSeries:
         return self._like(self._epoch, out)
 
     def trend(self) -> LinearFit:
-        """Linear trend of the (rack-averaged) series (the Fig 2 red line)."""
+        """Linear trend of the (rack-averaged) series (the Fig 2 red line).
+
+        A series with fewer than two finite values has no trend: its
+        fit is all NaN, so every prediction from it reads NaN.
+        """
         values = (
             nanstats.nanmean(self._values, axis=1) if self.is_per_rack else self._values
         )
+        if np.count_nonzero(np.isfinite(values)) < 2:
+            nan = float("nan")
+            return LinearFit(slope_per_year=nan, intercept_at_start=nan, start_epoch_s=nan)
         return linear_fit(self._epoch, values)
 
 

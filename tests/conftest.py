@@ -7,18 +7,28 @@ shared across test modules:
   enough structure for most integration tests;
 * ``year_result`` — two years at 30-minute cadence with a meaningful
   number of CMFs, used by the failure/prediction integration tests;
-* ``full_result`` — the canonical six-year hourly realization, used
-  only by the paper-calibration test module and the benchmarks.
+* ``full_result`` — the canonical six-year hourly realization;
+* ``canonical`` — its paper report and whole-store analyses, each
+  built at most once per session, for the calibration checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+from typing import Dict
 
 import numpy as np
 import pytest
 
 from repro.analytics.incremental import SECTION_CACHE_ENV
+from repro.core.aftermath import analyze_aftermath
+from repro.core.environment import ambient_spatial, ambient_trends
+from repro.core.experiments import full_report
+from repro.core.failure_analysis import analyze_cmfs
+from repro.core.report import ReportRow
+from repro.core.spatial import rack_power_profile
+from repro.core.trends import coolant_trends, monthly_profile, weekday_profile, yearly_trends
 from repro.faults import FaultConfig
 from repro.simulation import FacilityEngine, MiraScenario, WindowSynthesizer
 from repro.simulation.datasets import CACHE_DIR_ENV, canonical_dataset, small_dataset
@@ -95,6 +105,90 @@ def year_result():
 def full_result():
     """The canonical six-year realization (the paper's study period)."""
     return canonical_dataset()
+
+
+class CanonicalStudy:
+    """The canonical study's report and analyses, each built on first use.
+
+    ``report`` is one memo-off :func:`~repro.core.experiments.full_report`
+    with the Fig 12/13 windows.  Every band lives on its row, so the
+    calibration tests look rows up by metric (:meth:`assert_in_band`)
+    instead of repeating bands; the analyses serve the checks on values
+    that are not report rows.
+    """
+
+    def __init__(self, result) -> None:
+        self.result = result
+        self.database = result.database
+
+    @functools.cached_property
+    def report(self) -> Dict[str, list]:
+        return full_report(self.result, synthesize_windows=True, section_cache=False)
+
+    @functools.cached_property
+    def rows(self) -> Dict[str, ReportRow]:
+        """Every report row, by its (unique) metric name."""
+        rows = [row for section in self.report.values() for row in section]
+        by_metric = {row.metric: row for row in rows}
+        assert len(by_metric) == len(rows), "report metric names must be unique"
+        return by_metric
+
+    def measured(self, metric: str) -> float:
+        return self.rows[metric].measured_value
+
+    def assert_in_band(self, *metrics: str) -> None:
+        for metric in metrics:
+            row = self.rows[metric]
+            assert row.in_band, (
+                f"{row.figure} {metric}: measured {row.measured_value} "
+                f"outside {row.band}"
+            )
+
+    @functools.cached_property
+    def yearly(self):
+        return yearly_trends(self.database)
+
+    @functools.cached_property
+    def coolant(self):
+        return coolant_trends(self.database)
+
+    @functools.cached_property
+    def monthly(self):
+        return monthly_profile(self.database)
+
+    @functools.cached_property
+    def weekday(self):
+        return weekday_profile(self.database)
+
+    @functools.cached_property
+    def rack_power(self):
+        return rack_power_profile(self.database)
+
+    @functools.cached_property
+    def ambient(self):
+        return ambient_trends(self.database)
+
+    @functools.cached_property
+    def spatial(self):
+        return ambient_spatial(self.database)
+
+    @functools.cached_property
+    def cmfs(self):
+        return analyze_cmfs(self.result.ras_log, self.database)
+
+    @functools.cached_property
+    def aftermath(self):
+        return analyze_aftermath(self.result.ras_log)
+
+    @functools.cached_property
+    def positive_windows(self):
+        return WindowSynthesizer(self.result).positive_windows()
+
+
+@pytest.fixture(scope="session")
+def canonical(full_result):
+    """The canonical study's report and analyses (see :class:`CanonicalStudy`)."""
+    return CanonicalStudy(full_result)
 
 
 @pytest.fixture(scope="session")

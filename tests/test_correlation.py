@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.correlation import pearson, spearman
+from repro.core.correlation import pearson, pearson_or_nan, spearman
 
 
 class TestPearson:
@@ -32,6 +32,11 @@ class TestPearson:
         rng = np.random.default_rng(2)
         x, y = rng.standard_normal(50), rng.standard_normal(50)
         assert pearson(x, y) == pytest.approx(pearson(y, x))
+
+    def test_constant_input_is_nan_when_asked(self):
+        x = np.arange(10.0)
+        assert np.isnan(pearson_or_nan(x, np.ones(10)))
+        assert pearson_or_nan(x, 2 * x) == pytest.approx(1.0)
 
     def test_constant_input_rejected(self):
         with pytest.raises(ValueError):

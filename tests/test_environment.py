@@ -1,60 +1,42 @@
-"""Ambient temperature/humidity analyses (Figs 8-9)."""
+"""Ambient temperature/humidity analyses (Figs 8-9) on the canonical study.
 
-import numpy as np
-import pytest
-
-from repro import constants
-from repro.core.environment import ambient_spatial, ambient_trends
-from repro.facility.topology import RackId
+The bands live on the report rows (:mod:`repro.core.experiments`);
+these tests name the rows each claim covers and check the values that
+are not report rows.
+"""
 
 
 class TestAmbientTrends:
-    def test_temperature_band(self, full_result):
-        trends = ambient_trends(full_result.database)
-        # Paper: 76..90 F; generous bands for the synthetic facility.
-        assert 70.0 < trends.temperature_min_f < 80.0
-        assert 84.0 < trends.temperature_max_f < 100.0
+    def test_temperature_band(self, canonical):
+        canonical.assert_in_band("DC temperature min", "DC temperature max")
 
-    def test_humidity_band(self, full_result):
-        trends = ambient_trends(full_result.database)
-        # Paper: 28..37 %RH.
-        assert 18.0 < trends.humidity_min_rh < 30.0
-        assert 33.0 < trends.humidity_max_rh < 45.0
+    def test_humidity_band(self, canonical):
+        canonical.assert_in_band("DC humidity min", "DC humidity max")
 
-    def test_stds_near_paper(self, full_result):
-        trends = ambient_trends(full_result.database)
-        # Paper: sigma 2.48 F and 3.66 %RH.
-        assert 1.2 < trends.temperature_std_f < 4.0
-        assert 2.0 < trends.humidity_std_rh < 5.5
+    def test_stds_near_paper(self, canonical):
+        canonical.assert_in_band("DC temperature std", "DC humidity std")
 
-    def test_humidity_summer_seasonal(self, full_result):
-        trends = ambient_trends(full_result.database)
-        assert trends.humidity_is_summer_seasonal
+    def test_humidity_summer_seasonal(self, canonical):
+        canonical.assert_in_band("summer humidity exceeds winter")
+        trends = canonical.ambient
         assert trends.summer_humidity - trends.winter_humidity > 2.0
 
 
 class TestAmbientSpatial:
-    def test_humidity_spread_near_36_percent(self, full_result):
-        spatial = ambient_spatial(full_result.database)
-        # Paper: up to 36 %.
-        assert 0.20 < spatial.humidity_spread < 0.50
+    def test_humidity_spread_near_36_percent(self, canonical):
+        canonical.assert_in_band("rack DC-humidity spread")
 
-    def test_temperature_spread_near_11_percent(self, full_result):
-        spatial = ambient_spatial(full_result.database)
-        # Paper: up to 11 %.
-        assert 0.05 < spatial.temperature_spread < 0.18
+    def test_temperature_spread_near_11_percent(self, canonical):
+        canonical.assert_in_band("rack DC-temperature spread")
 
-    def test_row_ends_warm_and_dry(self, full_result):
-        spatial = ambient_spatial(full_result.database)
-        temp_delta, humidity_delta = spatial.row_end_effect()
-        assert temp_delta > 0.5  # ends warmer
-        assert humidity_delta < -0.5  # ends drier
+    def test_row_ends_warm_and_dry(self, canonical):
+        canonical.assert_in_band(
+            "row-end temperature excess", "row-end humidity deficit"
+        )
 
-    def test_hotspot_detection_finds_1_8(self, full_result):
-        spatial = ambient_spatial(full_result.database)
-        assert RackId(*constants.HUMIDITY_HOTSPOT_RACK) in spatial.hotspots()
+    def test_hotspot_detection_finds_1_8(self, canonical):
+        canonical.assert_in_band("hotspot (1, 8) detected")
 
-    def test_hotspots_are_center_racks(self, full_result):
-        spatial = ambient_spatial(full_result.database)
-        for rack in spatial.hotspots():
+    def test_hotspots_are_center_racks(self, canonical):
+        for rack in canonical.spatial.hotspots():
             assert 4 <= rack.col <= 11

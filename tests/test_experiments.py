@@ -1,9 +1,29 @@
 """The experiment-index module (EXPERIMENTS.md source)."""
 
+import math
+
 import pytest
 
 from repro.core.experiments import full_report, render_markdown
 from repro.core.report import ReportRow
+from repro.simulation import FacilityEngine, MiraScenario
+
+#: Rows a run without a CMF or without the Theta era cannot measure.
+_NO_CMF_NO_THETA = {
+    "total flow after Theta",
+    "corr(CMFs, utilization)",
+    "corr(CMFs, outlet temperature)",
+    "corr(CMFs, humidity)",
+    "rate at 6 h / rate at 3 h (paper: < 0.75)",
+    "rate at 48 h / rate at 3 h",
+}
+_NON_MONDAY = {
+    "non-Monday power increase",
+    "non-Monday utilization increase",
+    "non-Monday flow change",
+    "non-Monday inlet change",
+    "non-Monday outlet increase",
+}
 
 
 class TestFullReport:
@@ -48,3 +68,28 @@ class TestMarkdown:
             if line.startswith("| ") and "metric" not in line and "---" not in line
         ]
         assert len(data_lines) == total_rows
+
+
+class TestShortData:
+    """Too little data reads "n/a" (and fails its band) instead of raising."""
+
+    @pytest.mark.parametrize(
+        "days, unmeasured",
+        [
+            (1, _NO_CMF_NO_THETA | _NON_MONDAY),  # a Sunday: no Monday yet
+            (3, _NO_CMF_NO_THETA),
+        ],
+    )
+    def test_short_run_reports_na_rows(self, days, unmeasured):
+        result = FacilityEngine(MiraScenario.demo(days=days, seed=11)).run()
+        assert not result.ras_log.fatal_cmf_events()
+        sections = full_report(
+            result, workers=1, synthesize_windows=True, section_cache=False
+        )
+        rows = [row for section in sections.values() for row in section]
+        nan_rows = {row.metric for row in rows if math.isnan(row.measured_value)}
+        assert nan_rows == unmeasured
+        assert all(
+            row.in_band is False for row in rows if row.metric in unmeasured
+        )
+        assert "| n/a |" in render_markdown(sections)

@@ -132,6 +132,33 @@ class TestMemoizedEquivalence:
         assert any("Fig 12" in title for title in reference)
         assert store.counters.hits == store.counters.stores
 
+    def test_v2_entries_quarantined_once_and_rebuilt(self, tmp_path, month_result):
+        """A cache dir written before rows carried their bands (memo
+        magic v2) is quarantined entry by entry, rebuilt, then warm."""
+        from repro import blobfile
+        from repro.analytics.incremental import memo
+
+        store = SectionMemoStore(root=tmp_path, enabled=True)
+        reference = full_report(month_result, workers=1, section_cache=store)
+        entries = sorted(tmp_path.glob("*.pkl"))
+        assert len(entries) == len(reference) + 2  # rows + the two states
+        for path in entries:
+            record = blobfile.read(path, memo._MAGIC)
+            blobfile.write(path, b"repro-section-memo-v2", record)
+
+        store = SectionMemoStore(root=tmp_path, enabled=True)
+        rebuilt = full_report(month_result, workers=1, section_cache=store)
+        assert_sections_equal(reference, rebuilt)
+        assert store.counters.corrupt == len(entries)
+        assert len(list(tmp_path.glob(".quarantine-*"))) == len(entries)
+
+        store = SectionMemoStore(root=tmp_path, enabled=True)
+        assert_sections_equal(
+            reference, full_report(month_result, workers=1, section_cache=store)
+        )
+        assert store.counters.corrupt == 0
+        assert store.counters.hits == len(reference)
+
     def test_disabled_cache_writes_nothing(self, tmp_path, month_result, monkeypatch):
         from repro.simulation.datasets import CACHE_DIR_ENV
 

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.report import ReportRow, format_table, format_value, sparkline
+from repro.core.report import (
+    ReportRow,
+    format_band,
+    format_table,
+    format_value,
+    out_of_band,
+    sparkline,
+)
 
 
 class TestReportRow:
@@ -85,3 +92,48 @@ class TestNanRendering:
         text = render_markdown(sections)
         assert "| n/a |" in text
         assert "nan" not in text
+
+
+class TestBands:
+    def test_band_is_closed(self):
+        assert ReportRow("Fig X", "x", 1.0, 1.0, band=(1.0, 2.0)).in_band
+        assert ReportRow("Fig X", "x", 1.0, 2.0, band=(1.0, 2.0)).in_band
+        assert ReportRow("Fig X", "x", 1.0, 2.5, band=(1.0, 2.0)).in_band is False
+
+    def test_nan_measurement_is_out_of_band(self):
+        row = ReportRow("Fig X", "x", 1.0, float("nan"), band=(-np.inf, np.inf))
+        assert row.in_band is False
+
+    def test_ungated_row_is_neither(self):
+        row = ReportRow("Fig X", "x", 1.0, float("nan"))
+        assert row.in_band is None
+        assert out_of_band([row]) == []
+
+    def test_out_of_band_keeps_only_failures(self):
+        good = ReportRow("Fig X", "good", 1.0, 1.0, band=(1.0, 1.0))
+        bad = ReportRow("Fig X", "bad", 1.0, 0.0, band=(1.0, 1.0))
+        assert out_of_band([good, bad, ReportRow("Fig X", "free", 1.0, 0.0)]) == [bad]
+
+    def test_format_band(self):
+        assert format_band((2.35, 2.65)) == "[2.35, 2.65]"
+        assert format_band((-np.inf, 0.04)) == "<= 0.04"
+        assert format_band((1.005, np.inf)) == ">= 1.005"
+        assert format_band((361.0, 361.0)) == "= 361"
+        assert format_band(None) == "reported, not gated"
+
+    def test_table_line_shows_band_and_mark(self):
+        line = ReportRow("Fig X", "x", 1.0, 2.5, "MW", band=(1.0, 2.0)).formatted()
+        assert line.endswith("[1, 2]               NO")
+
+    def test_render_markdown_appends_band_and_ok(self):
+        from repro.core.experiments import render_markdown
+
+        text = render_markdown({"Fig X": [
+            ReportRow("Fig X", "in", 1.0, 1.5, "MW", band=(1.0, 2.0)),
+            ReportRow("Fig X", "out", 1.0, 2.5, band=(1.0, 2.0)),
+            ReportRow("Fig X", "free", 1.0, 2.5),
+        ]})
+        assert "| source | metric | paper | measured | unit | band | ok |" in text
+        assert "| Fig X | in | 1 | 1.5 | MW | [1, 2] | yes |" in text
+        assert "| Fig X | out | 1 | 2.5 |  | [1, 2] | NO |" in text
+        assert "| Fig X | free | 1 | 2.5 |  | reported, not gated | — |" in text

@@ -486,7 +486,9 @@ class TestRecoveryEquivalence:
         assert replayed.snapshot_seq is None and replayed.records_skipped == 0
         assert recovered.recovery.component("cusum").snapshot_seq is not None
         assert any(p.name.startswith(".quarantine-") for p in state.iterdir())
-        recovered.run()
+        report = recovered.run()
+        # The quarantine met during recovery reaches the run's report.
+        assert report.snapshots.quarantined == 1
         _assert_equivalent(expected, recovered)
 
     def test_double_kill_still_recovers(self, stream_result, tmp_path):

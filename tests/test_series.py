@@ -160,6 +160,11 @@ class TestTrend:
         with pytest.raises(ValueError):
             linear_fit(np.array([0.0]), np.array([1.0]))
 
+    def test_series_trend_too_short_is_nan(self):
+        fit = TimeSeries(np.array([0.0]), np.array([1.0])).trend()
+        assert np.isnan(fit.slope_per_year)
+        assert np.isnan(fit.predict(np.array([0.0]))[0])
+
     def test_series_trend_on_per_rack(self):
         epoch = _hourly(30)
         values = np.ones((len(epoch), 48)) * 2.0

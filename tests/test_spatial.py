@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro import constants
-from repro.core.spatial import (
-    rack_coolant_profile,
-    rack_power_profile,
-    relative_spread,
-    row_means,
-)
-from repro.facility.topology import RackId
+from repro.core.spatial import relative_spread, row_means
 
 
 class TestHelpers:
@@ -29,58 +23,47 @@ class TestHelpers:
 
 
 class TestRackPowerProfile:
-    def test_shapes(self, full_result):
-        profile = rack_power_profile(full_result.database)
-        assert profile.power_kw.shape == (constants.NUM_RACKS,)
-        assert profile.utilization.shape == (constants.NUM_RACKS,)
+    """Fig 6 on the canonical study; the bands live on the report rows."""
 
-    def test_power_spread_in_band(self, full_result):
-        profile = rack_power_profile(full_result.database)
-        # Paper: up to 15 %.
-        assert 0.08 < profile.power_spread < 0.30
+    def test_shapes(self, canonical):
+        assert canonical.rack_power.power_kw.shape == (constants.NUM_RACKS,)
+        assert canonical.rack_power.utilization.shape == (constants.NUM_RACKS,)
 
-    def test_highest_power_rack_is_0D(self, full_result):
-        profile = rack_power_profile(full_result.database)
-        assert profile.highest_power_rack == RackId(*constants.HIGHEST_POWER_RACK)
+    def test_power_spread_in_band(self, canonical):
+        canonical.assert_in_band("rack power spread")
 
-    def test_highest_utilization_rack_is_0A(self, full_result):
-        profile = rack_power_profile(full_result.database)
-        assert profile.highest_utilization_rack == RackId(
-            *constants.HIGHEST_UTILIZATION_RACK
-        )
+    def test_highest_power_rack_is_0D(self, canonical):
+        canonical.assert_in_band("highest-power rack is (0, D)")
 
-    def test_lowest_utilization_rack_is_2D(self, full_result):
-        profile = rack_power_profile(full_result.database)
-        assert profile.lowest_utilization_rack == RackId(2, 0xD)
+    def test_highest_utilization_rack_is_0A(self, canonical):
+        canonical.assert_in_band("highest-utilization rack is (0, A)")
 
-    def test_row_zero_highest(self, full_result):
-        profile = rack_power_profile(full_result.database)
-        assert profile.highest_utilization_row == constants.PROD_LONG_ROW
-        assert profile.highest_power_row == constants.PROD_LONG_ROW
+    def test_lowest_utilization_rack_is_2D(self, canonical):
+        canonical.assert_in_band("lowest-utilization rack is (2, D)")
 
-    def test_correlation_near_paper(self, full_result):
-        profile = rack_power_profile(full_result.database)
-        # Paper: r = 0.45 — markedly below 1.
-        assert 0.2 < profile.power_utilization_correlation < 0.75
+    def test_row_zero_highest(self, canonical):
+        assert canonical.rack_power.highest_utilization_row == constants.PROD_LONG_ROW
+        assert canonical.rack_power.highest_power_row == constants.PROD_LONG_ROW
+
+    def test_correlation_near_paper(self, canonical):
+        canonical.assert_in_band("corr(rack power, rack utilization)")
 
 
 class TestRackCoolantProfile:
-    def test_flow_spread_in_band(self, full_result):
-        profile = rack_coolant_profile(full_result.database)
-        # Paper: up to 11 %.
-        assert 0.05 < profile.flow_spread < 0.18
+    """Fig 7 on the canonical study; the bands live on the report rows."""
 
-    def test_inlet_nearly_uniform(self, full_result):
-        profile = rack_coolant_profile(full_result.database)
-        # Paper: ~1 %.
-        assert profile.inlet_spread < 0.02
+    def test_flow_spread_in_band(self, canonical):
+        canonical.assert_in_band("rack flow spread")
 
-    def test_outlet_spread_between_inlet_and_power(self, full_result):
-        profile = rack_coolant_profile(full_result.database)
-        power = rack_power_profile(full_result.database)
-        assert profile.inlet_spread < profile.outlet_spread < power.power_spread
+    def test_inlet_nearly_uniform(self, canonical):
+        canonical.assert_in_band("rack inlet spread")
 
-    def test_mean_flow_per_rack(self, full_result):
-        profile = rack_coolant_profile(full_result.database)
-        # Paper: ~26 GPM per rack.
-        assert 24.0 < profile.mean_flow_per_rack_gpm < 29.0
+    def test_outlet_spread_between_inlet_and_power(self, canonical):
+        assert (
+            canonical.measured("rack inlet spread")
+            < canonical.measured("rack outlet spread")
+            < canonical.measured("rack power spread")
+        )
+
+    def test_mean_flow_per_rack(self, canonical):
+        canonical.assert_in_band("mean per-rack flow")

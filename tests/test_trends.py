@@ -1,15 +1,10 @@
-"""Temporal trend analyses (Figs 2-5) on the short datasets."""
+"""Temporal trend analyses (Figs 2-5): fits on the two-year run, and the
+canonical study's Fig 4/5 rows and profiles."""
 
 import numpy as np
 import pytest
 
-from repro.core.trends import (
-    coolant_trends,
-    monthly_profile,
-    weekday_profile,
-    yearly_trends,
-)
-from repro.telemetry.records import Channel
+from repro.core.trends import coolant_trends, yearly_trends
 
 
 class TestYearlyTrends:
@@ -49,50 +44,42 @@ class TestCoolantTrends:
 
 
 class TestMonthlyProfile:
-    def test_power_profile_has_12_months(self, full_result):
-        profile = monthly_profile(full_result.database)
-        assert set(profile.by_month) == set(range(1, 13))
+    """Fig 4 on the canonical study; the bands live on the report rows."""
 
-    def test_power_higher_in_second_half(self, full_result):
-        profile = monthly_profile(full_result.database)
-        assert profile.second_half_ratio > 1.0
+    def test_power_profile_has_12_months(self, canonical):
+        assert set(canonical.monthly.by_month) == set(range(1, 13))
 
-    def test_utilization_higher_in_second_half(self, full_result):
-        profile = monthly_profile(full_result.database, Channel.UTILIZATION)
-        assert profile.second_half_ratio > 1.0
+    def test_power_higher_in_second_half(self, canonical):
+        canonical.assert_in_band("power H2/H1 median ratio")
 
-    def test_coolant_channels_flat_across_months(self, full_result):
-        # Fig 4 caption: < 1.5 % change from January.
-        for channel in (Channel.FLOW, Channel.INLET_TEMPERATURE, Channel.OUTLET_TEMPERATURE):
-            profile = monthly_profile(full_result.database, channel)
-            assert profile.max_change_from_january < 0.05
+    def test_utilization_higher_in_second_half(self, canonical):
+        canonical.assert_in_band("utilization H2/H1 median ratio")
 
-    def test_power_peaks_late_year(self, full_result):
-        profile = monthly_profile(full_result.database)
-        assert profile.peak_month in (10, 11, 12)
+    def test_coolant_channels_flat_across_months(self, canonical):
+        canonical.assert_in_band(
+            "flow max monthly change vs January",
+            "inlet max monthly change vs January",
+            "outlet max monthly change vs January",
+        )
+
+    def test_power_peaks_late_year(self, canonical):
+        assert canonical.monthly.peak_month in (10, 11, 12)
 
 
 class TestWeekdayProfile:
-    def test_monday_is_power_minimum(self, full_result):
-        profile = weekday_profile(full_result.database)
-        assert profile.minimum_weekday == 0
+    """Fig 5 on the canonical study; the bands live on the report rows."""
 
-    def test_non_monday_power_increase_near_paper(self, full_result):
-        profile = weekday_profile(full_result.database)
-        # Paper: ~6 %.
-        assert 0.02 < profile.non_monday_increase < 0.12
+    def test_monday_is_power_minimum(self, canonical):
+        assert canonical.weekday.minimum_weekday == 0
 
-    def test_non_monday_utilization_increase_small(self, full_result):
-        profile = weekday_profile(full_result.database, Channel.UTILIZATION)
-        # Paper: ~1.5 %.
-        assert 0.0 < profile.non_monday_increase < 0.05
+    def test_non_monday_power_increase_near_paper(self, canonical):
+        canonical.assert_in_band("non-Monday power increase")
 
-    def test_outlet_increase_modest(self, full_result):
-        profile = weekday_profile(full_result.database, Channel.OUTLET_TEMPERATURE)
-        # Paper: ~2 %.
-        assert 0.0 < profile.non_monday_increase < 0.05
+    def test_non_monday_utilization_increase_small(self, canonical):
+        canonical.assert_in_band("non-Monday utilization increase")
 
-    def test_flow_and_inlet_flat(self, full_result):
-        for channel in (Channel.FLOW, Channel.INLET_TEMPERATURE):
-            profile = weekday_profile(full_result.database, channel)
-            assert abs(profile.non_monday_increase) < 0.01
+    def test_outlet_increase_modest(self, canonical):
+        canonical.assert_in_band("non-Monday outlet increase")
+
+    def test_flow_and_inlet_flat(self, canonical):
+        canonical.assert_in_band("non-Monday flow change", "non-Monday inlet change")
