@@ -294,11 +294,12 @@ class WorkerCrasher:
     """Picklable wrapper that SIGKILLs a pool worker on schedule.
 
     Wraps a single-argument function for use with
-    :func:`repro.parallel.pstarmap` over ``enumerate(items)`` — the
-    first time a scheduled task index executes, a marker file is
-    written and the worker process kills itself, breaking the pool;
-    on resubmission the marker suppresses the crash, so the retried
-    pool (or the serial fallback) completes the work.
+    :func:`repro.parallel.pmap` over ``enumerate(items)``: each task is
+    one ``(index, item)`` pair.  The first time a scheduled task index
+    executes, a marker file is written and the worker process kills
+    itself, breaking the pool; on resubmission the marker suppresses
+    the crash, so the retried pool (or the serial fallback) completes
+    the work.
     """
 
     def __init__(
@@ -311,7 +312,8 @@ class WorkerCrasher:
         self.crash_indices = tuple(int(i) for i in crash_indices)
         self.marker_dir = str(marker_dir)
 
-    def __call__(self, index: int, item: object) -> object:
+    def __call__(self, pair: Tuple[int, object]) -> object:
+        index, item = pair
         if index in self.crash_indices:
             marker = Path(self.marker_dir) / f"crashed-{index}"
             if not marker.exists():

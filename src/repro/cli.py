@@ -21,10 +21,8 @@ Subcommands, mirroring how the package is used:
   supervised service and verify recovery equivalence (exit 1 on any
   mismatch); this is the CI chaos-smoke entry point,
 * ``serve-http`` — expose a simulated (or archived) dataset over the
-  operations HTTP API: versioned query routes, ``/healthz`` and
-  ``/metrics``, optional collector ingest, threaded or pre-forked,
-* ``http-load`` — aim the deterministic load generator at a running
-  ``serve-http`` instance and print/write the throughput report.
+  operations HTTP API from one threaded process: versioned query
+  routes, ``/healthz`` and ``/metrics``, optional collector ingest.
 
 Invoke as ``python -m repro <subcommand>``.
 """
@@ -311,16 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080, help="TCP port (0 picks a free one)"
     )
     serve_http.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "1 = threaded single process (ingest supported); >1 = that "
-            "many pre-forked read-only workers sharing the dataset the "
-            "parent loaded"
-        ),
-    )
-    serve_http.add_argument(
         "--duration",
         type=float,
         default=None,
@@ -333,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="COLLECTOR=TOKEN",
         help=(
             "enable ingest auth for COLLECTOR with TOKEN (repeatable; "
-            "threaded mode only; no tokens = open ingest)"
+            "no tokens = open ingest)"
         ),
     )
     serve_http.add_argument(
@@ -343,33 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_http.add_argument(
         "--cache-size", type=int, default=1024, help="query-cache capacity"
-    )
-
-    http_load = commands.add_parser(
-        "http-load",
-        help="run the deterministic load generator against serve-http",
-    )
-    http_load.add_argument(
-        "--url", required=True, help="server base URL, e.g. http://127.0.0.1:8080"
-    )
-    http_load.add_argument(
-        "--requests", type=int, default=500, help="total queries to issue"
-    )
-    http_load.add_argument(
-        "--clients",
-        type=int,
-        default=None,
-        help="client processes (default: REPRO_WORKERS or all cores)",
-    )
-    http_load.add_argument("--seed", type=int, default=0, help="query-mix seed")
-    http_load.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="passes over the same path list (pass 2+ hits a warm cache)",
-    )
-    http_load.add_argument(
-        "--out", type=Path, default=None, help="also write the JSON report here"
     )
     return parser
 
@@ -702,7 +663,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         IngestServerConfig,
         OperationsApp,
         OperationsHttpServer,
-        serve_prefork,
     )
     from repro.telemetry.archive import TelemetryArchive
 
@@ -713,40 +673,11 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             print(f"--ingest-token wants COLLECTOR=TOKEN, got {pair!r}")
             return 1
         tokens[collector] = token
-    if tokens and args.workers > 1:
-        print(
-            "--ingest-token needs --workers 1: pre-forked workers serve "
-            "read-only and accept no ingest"
-        )
-        return 1
 
     if args.archive is not None:
         database = TelemetryArchive.load(args.archive, mmap=True)
     else:
         database = _simulated_database(args.days, args.seed, args.dt).database
-
-    if args.workers > 1:
-        # Forked workers inherit this read-only app; an ingest gateway
-        # would write into one child's copy of the database only.
-        app = OperationsApp.from_database(database, cache_size=args.cache_size)
-
-        def announce(host: str, port: int) -> None:
-            print(
-                f"serving {database.num_samples} samples read-only on "
-                f"http://{host}:{port} with {args.workers} workers "
-                "(Ctrl-C to stop)",
-                flush=True,
-            )
-
-        failures = serve_prefork(
-            app,
-            workers=args.workers,
-            host=args.host,
-            port=args.port,
-            duration_s=args.duration,
-            ready_callback=announce,
-        )
-        return 0 if failures == 0 else 1
 
     ingest = None if args.no_ingest else IngestServerConfig(tokens=tokens)
     app = OperationsApp.from_database(
@@ -780,37 +711,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_http_load(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service.http import generate_query_paths, probe_bounds, run_load
-
-    bounds = probe_bounds(args.url)
-    paths = generate_query_paths(
-        bounds.start_epoch_s,
-        bounds.end_epoch_s,
-        bounds.num_racks,
-        bounds.resolutions_s,
-        args.requests,
-        seed=args.seed,
-    )
-    report = None
-    for iteration in range(max(1, args.repeat)):
-        report = run_load(args.url, paths, clients=args.clients)
-        label = "cold" if iteration == 0 else f"warm pass {iteration}"
-        print(
-            f"{label}: {report.requests} requests in {report.elapsed_s:.2f}s "
-            f"= {report.requests_per_s:.0f} req/s "
-            f"(p50 {report.p50_ms:.2f}ms, p99 {report.p99_ms:.2f}ms, "
-            f"{report.errors} errors)"
-        )
-    if args.out is not None and report is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 0 if report is not None and report.errors == 0 else 1
-
-
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "report": _cmd_report,
@@ -822,7 +722,6 @@ _COMMANDS = {
     "chaos": _cmd_chaos,
     "query": _cmd_query,
     "serve-http": _cmd_serve_http,
-    "http-load": _cmd_http_load,
 }
 
 

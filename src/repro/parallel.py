@@ -14,9 +14,10 @@ This module centralizes the three things every call site needs:
   :func:`task_rngs`): ``SeedSequence.spawn`` children derived from one
   master seed, so a task's stream depends only on its index — never on
   which worker ran it or in what order;
-* **a chunked, order-preserving map** (:func:`pmap`) with a serial
+* **one chunked, order-preserving map** (:func:`pmap`) with a serial
   fallback at ``workers=1`` and first-error propagation, so results
-  are bit-identical between the serial and parallel paths.
+  are bit-identical between the serial and parallel paths.  A task
+  that needs several arguments takes them as one tuple.
 
 Workers are ``fork`` children: each starts with a copy-on-write image
 of the parent's memory, so a task may read data the parent held when
@@ -46,7 +47,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -252,32 +253,3 @@ def pmap(
                 results[index] = _run_chunk(fn, chunks[index])
             pending = []
     return [value for chunk_results in results for value in chunk_results]
-
-
-def pstarmap(
-    fn: Callable[..., _R],
-    items: Iterable[Sequence[Any]],
-    workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    pool_retries: int = 2,
-) -> List[_R]:
-    """:func:`pmap` for multi-argument callables (payloads are tuples)."""
-    return pmap(
-        _StarCall(fn),
-        [tuple(item) for item in items],
-        workers,
-        chunksize,
-        timeout_s=timeout_s,
-        pool_retries=pool_retries,
-    )
-
-
-class _StarCall:
-    """Picklable ``lambda args: fn(*args)``."""
-
-    def __init__(self, fn: Callable[..., Any]) -> None:
-        self.fn = fn
-
-    def __call__(self, args: Sequence[Any]) -> Any:
-        return self.fn(*args)

@@ -12,8 +12,8 @@ it, and an aggregated store answering dashboard queries.
   multi-resolution min/mean/max/count downsamples with quality-aware
   coverage,
 * :mod:`repro.service.query` — :class:`QueryEngine`, point/series/
-  aggregate queries behind a version-validated LRU cache with a
-  thread-pool batch path,
+  aggregate queries behind a version-validated LRU cache, safe to
+  share across threads,
 * :mod:`repro.service.subscribers` — adapters wiring the online CMF
   predictor, CUSUM detector, and alert engine onto the bus,
 * :mod:`repro.service.resilience` — :class:`Supervisor` and the
@@ -27,7 +27,7 @@ it, and an aggregated store answering dashboard queries.
   durability, and chaos hooks,
 * :mod:`repro.service.http` — the operations HTTP API: versioned
   query routes, ``/healthz``/``/metrics``, the collector ingest
-  gateway, and the pre-forked read-only server.
+  gateway, and the threaded server around them.
 """
 
 from repro.service.bus import (
@@ -60,7 +60,6 @@ from repro.service.query import (
     Query,
     QueryEngine,
     QueryResult,
-    ServeCounters,
 )
 from repro.service.resilience import (
     ServiceEvent,
@@ -108,7 +107,6 @@ __all__ = [
     "Query",
     "QueryEngine",
     "QueryResult",
-    "ServeCounters",
     "ServiceEvent",
     "SourceReplayer",
     "SupervisedSubscriber",

@@ -5,18 +5,16 @@ layer's query engine, plus the ingest front door remote collectors
 post telemetry through:
 
 * :mod:`repro.service.http.protocol` — wire formats: versioned
-  envelopes, float/NaN encoding, query parsing, batch decoding,
+  envelopes, float/NaN encoding, query parsing, batch decoding, and
+  the seeded dashboard query mix,
 * :mod:`repro.service.http.app` — :class:`OperationsApp`, the
   socket-free route dispatcher (tests drive it directly),
-* :mod:`repro.service.http.server` — :class:`OperationsHttpServer`
-  (threaded, shared app, supports ingest) and :func:`serve_prefork`
-  (forked read-only workers sharing the parent's app),
+* :mod:`repro.service.http.server` — :class:`OperationsHttpServer`,
+  one threaded process around one shared app (query and ingest),
 * :mod:`repro.service.http.ingest` — :class:`IngestGateway`: auth,
   backpressure, policy-routed appends, incremental rollup folding,
 * :mod:`repro.service.http.collectors` — :class:`IngestClient` with
-  bounded-backoff retries, the CSV replayer, the simulated poller,
-* :mod:`repro.service.http.loadgen` — deterministic query mixes and
-  the multi-process load harness behind ``repro http-load``.
+  bounded-backoff retries, the CSV replayer, the simulated poller.
 """
 
 from repro.service.http.app import MAX_SERIES_POINTS, OperationsApp, RequestCounters
@@ -33,13 +31,6 @@ from repro.service.http.ingest import (
     IngestGateway,
     IngestServerConfig,
 )
-from repro.service.http.loadgen import (
-    LoadReport,
-    ServerBounds,
-    generate_query_paths,
-    probe_bounds,
-    run_load,
-)
 from repro.service.http.protocol import (
     API_VERSION,
     SUPPORTED_API_VERSIONS,
@@ -48,14 +39,11 @@ from repro.service.http.protocol import (
     decode_batch,
     encode_batch,
     encode_result,
+    generate_query_paths,
     parse_query,
     query_path,
 )
-from repro.service.http.server import (
-    MAX_BODY_BYTES,
-    OperationsHttpServer,
-    serve_prefork,
-)
+from repro.service.http.server import MAX_BODY_BYTES, OperationsHttpServer
 
 __all__ = [
     "MAX_SERIES_POINTS",
@@ -70,11 +58,6 @@ __all__ = [
     "GatewayCounters",
     "IngestGateway",
     "IngestServerConfig",
-    "LoadReport",
-    "ServerBounds",
-    "generate_query_paths",
-    "probe_bounds",
-    "run_load",
     "API_VERSION",
     "SUPPORTED_API_VERSIONS",
     "ApiError",
@@ -82,9 +65,9 @@ __all__ = [
     "decode_batch",
     "encode_batch",
     "encode_result",
+    "generate_query_paths",
     "parse_query",
     "query_path",
     "MAX_BODY_BYTES",
     "OperationsHttpServer",
-    "serve_prefork",
 ]

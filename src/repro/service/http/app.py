@@ -14,7 +14,7 @@ Method   Path                       Serves
 =======  =========================  ==========================================
 GET      ``/``                      route table (this table, as JSON)
 GET      ``/healthz``               liveness + dataset identity
-GET      ``/metrics``               request/cache/serve/ingest counters,
+GET      ``/metrics``               request/cache/ingest counters,
                                     cache hit rate, dataset-cache failures
 GET      ``/v1/query/point``        one statistic at one instant
 GET      ``/v1/query/series``       per-bucket statistics over a window
@@ -57,7 +57,7 @@ MAX_SERIES_POINTS = 100_000
 _ROUTE_TABLE = {
     "GET /": "this route table",
     "GET /healthz": "liveness and dataset identity",
-    "GET /metrics": "request/cache/serve/ingest/dataset-cache counters",
+    "GET /metrics": "request/cache/ingest/dataset-cache counters",
     "GET /v1/query/point": "one statistic at one instant",
     "GET /v1/query/series": "per-bucket statistics over a window",
     "GET /v1/query/aggregate": "one statistic over a whole window",
@@ -72,6 +72,9 @@ class RequestCounters(Counters):
     served: int
     client_errors: int
     server_errors: int
+    #: Connections that failed outside the app: a client that reset
+    #: mid-request or hung up before its response was written.
+    connection_errors: int
 
 
 class RouteCounters(Counters):
@@ -322,7 +325,6 @@ class OperationsApp:
                 "by_route": self.routes.as_dict(),
             },
             "cache": self.engine.cache_info(),
-            "serve": self.engine.serve_counters.as_dict(),
             "dataset_cache": CACHE_FAILURES.as_dict(),
             "store": {
                 "version": self.engine.store.version,

@@ -2,9 +2,9 @@
 
 Everything that crosses the network boundary is defined here — the
 API version, the JSON envelopes, float/NaN encoding, query-parameter
-parsing, and ingest-batch decoding — so the server, the collector
-adapters, the load generator, and the tests all speak from one
-definition.
+parsing, ingest-batch decoding, and the seeded query mix a dashboard
+client sends — so the server, the collector adapters, perfbench's
+``dashboard`` client, and the tests all speak from one definition.
 
 Encoding rules
 --------------
@@ -389,8 +389,8 @@ def _decode_matrix(label: str, rows, n: int, num_racks: int, decode_row) -> np.n
 def query_path(kind: str, query: Query) -> str:
     """The GET path+query-string that round-trips to ``query``.
 
-    The inverse of :func:`parse_query`, used by the load generator and
-    the equivalence tests to hit the API with exactly the queries they
+    The inverse of :func:`parse_query`, used by the query mix and the
+    equivalence tests to hit the API with exactly the queries they
     compare against direct engine calls.
     """
     params: List[Tuple[str, str]] = [("channel", query.channel.column)]
@@ -408,6 +408,82 @@ def query_path(kind: str, query: Query) -> str:
     if query.resolution_s is not None:
         params.append(("resolution_s", repr(float(query.resolution_s))))
     return f"/v1/query/{kind}?{urlencode(params)}"
+
+
+#: Query kinds and their draw weights: dashboards poll points far
+#: more than they redraw.
+QUERY_MIX: Tuple[Tuple[str, float], ...] = (
+    ("point", 0.6),
+    ("aggregate", 0.25),
+    ("series", 0.15),
+)
+
+_MIX_STATS = ("mean", "min", "max")
+
+
+def generate_query_paths(
+    start_epoch_s: float,
+    end_epoch_s: float,
+    num_racks: int,
+    resolutions_s: Sequence[float],
+    num_queries: int,
+    seed: int = 0,
+) -> List[str]:
+    """A reproducible list of GET paths aimed inside the dataset.
+
+    Kinds are drawn by :data:`QUERY_MIX`.  Windows and instants are
+    snapped to the finest resolution so every query lands on real
+    buckets; scopes rotate across facility, row, and rack.  Identical
+    arguments produce identical paths, which is what lets cold-vs-warm
+    cache passes replay the same traffic.
+    """
+    if end_epoch_s <= start_epoch_s:
+        raise ValueError("end_epoch_s must exceed start_epoch_s")
+    rng = np.random.default_rng(seed)
+    finest = float(min(resolutions_s))
+    span_buckets = max(1, int((end_epoch_s - start_epoch_s) / finest))
+    kinds = [kind for kind, _ in QUERY_MIX]
+    weights = np.array([weight for _, weight in QUERY_MIX], dtype="float64")
+    weights /= weights.sum()
+    paths: List[str] = []
+    for _ in range(num_queries):
+        kind = kinds[int(rng.choice(len(kinds), p=weights))]
+        channel = CHANNELS[int(rng.integers(len(CHANNELS)))]
+        scope_draw = rng.random()
+        if scope_draw < 0.5:
+            scope, rack, row = "facility", None, None
+        elif scope_draw < 0.75:
+            scope, rack, row = "rack", int(rng.integers(num_racks)), None
+        else:
+            scope, rack, row = "row", None, int(rng.integers(max(1, num_racks // 16)))
+        stat = _MIX_STATS[int(rng.integers(len(_MIX_STATS)))]
+        if kind == "point":
+            bucket = int(rng.integers(span_buckets))
+            query = Query(
+                "point",
+                channel,
+                start_epoch_s + bucket * finest,
+                0.0,
+                stat=stat,
+                scope=scope,
+                rack=rack,
+                row=row,
+            )
+        else:
+            lo = int(rng.integers(span_buckets))
+            width = int(rng.integers(1, max(2, span_buckets - lo + 1)))
+            query = Query(
+                kind,
+                channel,
+                start_epoch_s + lo * finest,
+                start_epoch_s + min(span_buckets, lo + width) * finest,
+                stat=stat,
+                scope=scope,
+                rack=rack,
+                row=row,
+            )
+        paths.append(query_path(kind, query))
+    return paths
 
 
 #: Channels in canonical order, re-exported for collector adapters.

@@ -1,4 +1,4 @@
-"""The concurrent, cached query engine over the rollup store.
+"""The thread-safe, cached query engine over the rollup store.
 
 Serves the three query shapes a facility dashboard needs:
 
@@ -38,8 +38,9 @@ entries the new data touches are recomputed.  Appending live samples
 therefore invalidates "today's" queries but leaves last month's
 dashboards cached.
 
-``serve_many`` executes a batch of queries on a thread pool, the
-concurrent read path the service benchmark exercises.
+The engine is safe to call from many threads at once: the HTTP
+server's handler threads all share one engine, its one concurrent
+read path.  A failing query raises to its caller.
 """
 
 from __future__ import annotations
@@ -47,15 +48,12 @@ from __future__ import annotations
 import collections
 import dataclasses
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import constants
 from repro.metrics import Counters
-from repro.parallel import resolve_workers
 from repro.service.rollup import BucketWindow, RollupStore
 from repro.telemetry import nanstats
 from repro.telemetry.records import Channel
@@ -123,14 +121,6 @@ class QueryResult:
     value: float = np.nan
     epoch_s: Optional[np.ndarray] = None
     values: Optional[np.ndarray] = None
-    #: Structured failure from the guarded batch path (``serve_many``):
-    #: ``None`` for a served result, otherwise the error description.
-    #: Failed results carry ``value = NaN`` and no series payload.
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 class CacheCounters(Counters):
@@ -148,17 +138,6 @@ class CacheCounters(Counters):
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-
-class ServeCounters(Counters):
-    """Batch-path (``serve_many``) observability."""
-
-    #: Queries answered successfully.
-    served: int
-    #: Queries that raised (returned as structured-error results).
-    errors: int
-    #: Queries cut off by the per-query deadline.
-    timeouts: int
 
 
 @dataclasses.dataclass
@@ -252,7 +231,6 @@ class QueryEngine:
         self.store = store
         self.cache_size = cache_size
         self.counters = CacheCounters()
-        self.serve_counters = ServeCounters()
         self._cache: "collections.OrderedDict[Query, _CacheEntry]" = (
             collections.OrderedDict()
         )
@@ -383,75 +361,3 @@ class QueryEngine:
         result, version = self._compute(query)
         self._store_entry(query, result, version)
         return result, version
-
-    def _execute_guarded(self, query: Query) -> QueryResult:
-        """:meth:`execute` that never raises.
-
-        A failing query comes back as a structured-error
-        :class:`QueryResult` in its batch position instead of
-        poisoning the whole ``serve_many`` call (``pool.map`` re-raises
-        the first worker exception and discards every other result).
-        Direct :meth:`execute` callers still get the exception.
-        """
-        try:
-            result = self.execute(query)
-        except Exception as exc:  # noqa: BLE001 - the batch isolation boundary
-            self.serve_counters.add(errors=1)
-            return QueryResult(
-                query=query,
-                resolution_s=float("nan"),
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        self.serve_counters.add(served=1)
-        return result
-
-    def serve_many(
-        self,
-        queries: Sequence[Query],
-        workers: Optional[int] = None,
-        timeout_s: Optional[float] = None,
-    ) -> List[QueryResult]:
-        """Execute a batch concurrently; results keep request order.
-
-        The thread count follows the shared
-        :func:`repro.parallel.resolve_workers` rule (explicit argument,
-        else ``REPRO_WORKERS``, else the core count, capped at the
-        batch size) — the same rule the predictor's process pools use.
-
-        Failures are **isolated**: a query that raises yields a
-        :class:`QueryResult` with :attr:`QueryResult.error` set, in
-        its request position, and the rest of the batch still serves.
-        With ``timeout_s``, waiting on any one query is bounded;
-        overrunning queries yield timeout errors (counted in
-        :attr:`serve_counters`) while their threads finish in the
-        background — a completion after abandonment still lands in the
-        cache and the served/error counters.
-        """
-        if not queries:
-            return []
-        workers = resolve_workers(workers, max_tasks=len(queries))
-        if workers <= 1 and timeout_s is None:
-            return [self._execute_guarded(q) for q in queries]
-        pool = ThreadPoolExecutor(max_workers=max(workers, 1))
-        abandoned = False
-        try:
-            futures = [pool.submit(self._execute_guarded, q) for q in queries]
-            results: List[QueryResult] = []
-            for query, future in zip(queries, futures):
-                try:
-                    results.append(future.result(timeout=timeout_s))
-                except _FuturesTimeout:
-                    abandoned = True
-                    self.serve_counters.add(timeouts=1)
-                    results.append(
-                        QueryResult(
-                            query=query,
-                            resolution_s=float("nan"),
-                            error=f"timeout after {timeout_s:g}s",
-                        )
-                    )
-            return results
-        finally:
-            # Don't block the caller on abandoned queries; their
-            # threads drain in the background.
-            pool.shutdown(wait=not abandoned)

@@ -595,8 +595,9 @@ class RollupStore:
         ``first`` is the start of the earliest bucket and ``last`` the
         end of the latest, so ``[first, last)`` tiles exactly onto
         finest-level buckets; ``None`` while the store is empty.  The
-        HTTP ``/healthz`` route advertises this so remote clients (the
-        load generator in particular) can aim queries at real data.
+        HTTP ``/healthz`` route advertises this so remote clients
+        (perfbench's ``dashboard`` workload in particular) can aim
+        queries at real data.
         """
         with self._lock:
             level = self._levels[0]

@@ -114,7 +114,7 @@ class TestWorkerCrasher:
         clone = pickle.loads(pickle.dumps(crasher))
         assert clone.crash_indices == (2,)
         (tmp_path / "crashed-2").touch()  # marker: crash already spent
-        assert clone(2, "abcd") == 4  # survives in-process
+        assert clone((2, "abcd")) == 4  # survives in-process
 
 
 class TestChaosMatrix:

@@ -209,28 +209,6 @@ class TestChaos:
         assert summary["cells"][0]["scenario"] == "crash"
 
 
-class TestServeHttp:
-    def test_prefork_refuses_ingest_tokens(self, monkeypatch, capsys):
-        """Pre-forked workers serve read-only, so tokens would be
-        dropped; the combination fails before any simulation or fork."""
-        import repro.cli
-        import repro.service.http
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("ran past the argument check")
-
-        monkeypatch.setattr(repro.cli, "_simulated_database", unreachable)
-        monkeypatch.setattr(repro.service.http, "serve_prefork", unreachable)
-        code = main(
-            [
-                "serve-http", "--workers", "2", "--ingest-token", "lab=secret",
-                "--days", "1", "--dt", "3600", "--duration", "1",
-            ]
-        )
-        assert code == 1
-        assert "--ingest-token needs --workers 1" in capsys.readouterr().out
-
-
 class TestCache:
     @pytest.fixture
     def cache_dir(self, tmp_path, monkeypatch):

@@ -10,14 +10,19 @@ the JSON layer never sees.
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
+import socket
+import struct
+import time
+import types
 
 import numpy as np
 import pytest
 
 from repro.analytics.incremental import SectionCacheCounters
-from repro.service import CacheCounters, ServeCounters
+from repro.service import CacheCounters
 from repro.service.http import (
     MAX_BODY_BYTES,
     GatewayCounters,
@@ -25,8 +30,11 @@ from repro.service.http import (
     OperationsHttpServer,
     IngestServerConfig,
     RequestCounters,
+    generate_query_paths,
 )
 from repro.service.http.app import _ROUTE_TABLE
+from repro.service.http.server import _OperationsHandler
+from repro.service.rollup import DEFAULT_RESOLUTIONS_S
 from repro.simulation.datasets import DatasetCacheCounters
 from repro.telemetry.database import EnvironmentalDatabase, IngestCounters
 from repro.telemetry.records import CHANNELS
@@ -289,7 +297,10 @@ class TestDispatcherNeverRaises:
 _METRICS_CONTRACT = {
     "server": (
         RequestCounters,
-        {"requests", "served", "client_errors", "server_errors"},
+        {
+            "requests", "served", "client_errors", "server_errors",
+            "connection_errors",
+        },
         {"chaos_errors", "chaos_resets", "by_route"},
     ),
     "cache": (
@@ -297,7 +308,6 @@ _METRICS_CONTRACT = {
         {"hits", "misses", "evictions", "invalidations", "revalidations"},
         {"entries", "capacity", "hit_rate"},
     ),
-    "serve": (ServeCounters, {"served", "errors", "timeouts"}, set()),
     "dataset_cache": (DatasetCacheCounters, {"quarantined", "store_failed"}, set()),
     "section_cache": (
         SectionCacheCounters,
@@ -334,7 +344,7 @@ class TestMetricsBlocks:
     def test_nested_counter_blocks(self, app):
         metrics = app.metrics()
         assert set(metrics) == {
-            "api_version", "server", "cache", "serve", "dataset_cache", "store",
+            "api_version", "server", "cache", "dataset_cache", "store",
             "dataset", "section_cache", "ingest",
         }
         assert set(metrics["server"]["by_route"]) == set(_ROUTE_TABLE) | {"other"}
@@ -433,6 +443,47 @@ class TestOverSocket:
         status, payload = self._request(server, "GET", "/healthz")
         assert status == 200 and payload["status"] == "ok"
 
+    def test_reset_connections_are_counted(self):
+        """Clients that send half a request and then reset reach the
+        server's error hook; each one is counted, none is a request."""
+        app = OperationsApp.from_database(_database())
+        with OperationsHttpServer(app) as server:
+            for _ in range(5):
+                sock = socket.create_connection(server.address, timeout=10)
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+                # Linger 0: close sends RST instead of FIN.
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                sock.close()
+            deadline = time.monotonic() + 10.0
+            while app.counters.connection_errors < 5 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            status, payload = self._request(server, "GET", "/metrics")
+        assert status == 200
+        assert payload["server"]["connection_errors"] == 5
+        # No reset reached the app (the scrape counts itself after).
+        assert payload["server"]["requests"] == 0
+
+    def test_hangup_mid_response_is_counted(self):
+        """A client gone before its response is written: counted once,
+        the connection is closed, nothing escapes the handler."""
+
+        class HungUp:
+            def write(self, data):
+                raise BrokenPipeError
+
+        app = OperationsApp.from_database(_database())
+        handler = _OperationsHandler.__new__(_OperationsHandler)
+        handler.server = types.SimpleNamespace(app=app)
+        handler.request_version = handler.protocol_version
+        handler.requestline = "GET /healthz HTTP/1.1"
+        handler.wfile = HungUp()
+        handler.close_connection = False
+        handler._respond(200, {"status": "ok"}, {})
+        assert handler.close_connection
+        assert app.counters.connection_errors == 1
+
     def test_query_over_socket_matches_direct_dispatch(self, server, app):
         path = "/v1/query/aggregate?channel=power_kw&start_s=0&end_s=3600"
         status, over_socket = self._request(server, "GET", path)
@@ -443,3 +494,17 @@ class TestOverSocket:
         )
         assert status == direct_status == 200
         assert over_socket == direct
+
+
+class TestQueryMix:
+    def test_generated_paths_are_pinned(self):
+        """The seeded dashboard mix is a fixed query set: a change to
+        its draws changes what every HTTP benchmark run sends."""
+        start = 1388534400.0
+        paths = generate_query_paths(
+            start, start + 365 * 86400.0, 48, DEFAULT_RESOLUTIONS_S, 8192, seed=1
+        )
+        assert len(paths) == 8192
+        assert hashlib.sha256("\n".join(paths).encode()).hexdigest() == (
+            "c8146e4a1a809c0b8b3cdc41297714aaeb9c2c355197a14c21fb218e6d8a11b2"
+        )

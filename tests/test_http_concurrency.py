@@ -7,9 +7,9 @@ the same store-version stamp.  Floats cross the wire via ``repr``
 round-trip, so "bit-identical" is literal: the decoded JSON must
 ``==`` the encoded direct answer, element by element.
 
-Also here: the pre-forked multi-worker server smoke test (forked
-workers serving the app the parent built over a memory-mapped archive
-and answering exactly like an in-process engine).
+Also here: the read-only replica — the threaded server over a
+memory-mapped archive with no ingest tier, answering exactly like an
+in-process engine and refusing ingest with a structured 503.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import threading
 import time
 
 import numpy as np
-import pytest
 
 from repro.service import Query, QueryEngine
 from repro.service.http import (
@@ -31,7 +30,6 @@ from repro.service.http import (
     encode_result,
     query_path,
 )
-from repro.service.http.server import bind_listening_socket, serve_prefork
 from repro.service.rollup import RollupStore
 from repro.telemetry.archive import TelemetryArchive
 from repro.telemetry.database import EnvironmentalDatabase
@@ -195,80 +193,40 @@ class TestConcurrentBitIdentity:
                 )
 
 
-class TestPreforkServer:
-    def test_prefork_workers_answer_like_direct_engine(self, tmp_path):
+class TestReadOnlyReplica:
+    def test_mmap_archive_answers_like_direct_engine(self, tmp_path):
         database = _database()
         archive_dir = tmp_path / "archive"
         TelemetryArchive.save(database, archive_dir)
-        app = OperationsApp.from_database(TelemetryArchive.load(archive_dir))
+        app = OperationsApp.from_database(
+            TelemetryArchive.load(archive_dir, mmap=True)
+        )
         engine = QueryEngine(RollupStore.from_database(database))
-        queries = _query_mix()
-
-        address = {}
-        ready = threading.Event()
-        stop = threading.Event()
-
-        def on_ready(host, port):
-            address["host"], address["port"] = host, port
-            ready.set()
-
-        babysitter = threading.Thread(
-            target=serve_prefork,
-            args=(app,),
-            kwargs={
-                "workers": 2,
-                "duration_s": 60.0,
-                "ready_callback": on_ready,
-                "stop_event": stop,
-            },
-            daemon=True,
-        )
-        babysitter.start()
-        assert ready.wait(timeout=10)
-        conn = http.client.HTTPConnection(
-            address["host"], address["port"], timeout=30
-        )
-        try:
-            conn.request("GET", "/healthz")
-            health = json.loads(conn.getresponse().read())
-            assert health["status"] == "ok"
-            assert health["ingest_enabled"] is False
-            for query in queries:
-                conn.request("GET", query_path(query.kind, query))
+        with OperationsHttpServer(app) as server:
+            conn = http.client.HTTPConnection(*server.address, timeout=30)
+            try:
+                conn.request("GET", "/healthz")
+                health = json.loads(conn.getresponse().read())
+                assert health["status"] == "ok"
+                assert health["ingest_enabled"] is False
+                for query in _query_mix():
+                    conn.request("GET", query_path(query.kind, query))
+                    reply = conn.getresponse()
+                    payload = json.loads(reply.read())
+                    assert reply.status == 200, payload
+                    result, version = engine.execute_versioned(query)
+                    assert payload == encode_result(result, version)
+                # Read-only replicas refuse ingest with a structured 503.
+                body = json.dumps({"api_version": 1}).encode()
+                conn.request(
+                    "POST",
+                    "/v1/ingest",
+                    body=body,
+                    headers={"Content-Type": "application/json"},
+                )
                 reply = conn.getresponse()
-                payload = json.loads(reply.read())
-                assert reply.status == 200, payload
-                result, version = engine.execute_versioned(query)
-                assert payload == encode_result(result, version)
-            # Read-only replicas refuse ingest with a structured 503.
-            body = json.dumps({"api_version": 1}).encode()
-            conn.request(
-                "POST",
-                "/v1/ingest",
-                body=body,
-                headers={"Content-Type": "application/json"},
-            )
-            reply = conn.getresponse()
-            refusal = json.loads(reply.read())
-            assert reply.status == 503
-            assert refusal["error"]["type"] == "read_only"
-        finally:
-            conn.close()
-            # Wind the pool down without waiting out the duration.
-            stop.set()
-        babysitter.join(timeout=20)
-        assert not babysitter.is_alive()
-
-    def test_prefork_refuses_ingest_app(self):
-        # Each child would ingest into its own copy of the database.
-        app = OperationsApp.from_database(_database(), ingest=IngestServerConfig())
-        with pytest.raises(ValueError, match="read-only"):
-            serve_prefork(app, workers=2, duration_s=0.0)
-
-    def test_bind_listening_socket_picks_free_port(self):
-        sock = bind_listening_socket()
-        try:
-            host, port = sock.getsockname()[:2]
-            assert host == "127.0.0.1" and port > 0
-        finally:
-            sock.close()
+                refusal = json.loads(reply.read())
+                assert reply.status == 503
+                assert refusal["error"]["type"] == "read_only"
+            finally:
+                conn.close()

@@ -10,7 +10,6 @@ from repro.chaos import WorkerCrasher
 from repro.parallel import (
     WORKERS_ENV,
     pmap,
-    pstarmap,
     require_generator,
     resolve_workers,
     spawn_seeds,
@@ -26,10 +25,6 @@ def _fail_on_seven(x):
     if x == 7:
         raise ValueError("seven is right out")
     return x
-
-
-def _add(a, b):
-    return a + b
 
 
 def _sleepy(x):
@@ -125,9 +120,6 @@ class TestPmap:
         monkeypatch.setenv(WORKERS_ENV, "1")
         assert pmap(_square, range(6)) == [x * x for x in range(6)]
 
-    def test_pstarmap(self):
-        assert pstarmap(_add, [(1, 2), (3, 4)], workers=2) == [3, 7]
-
     def test_negative_pool_retries_rejected(self):
         with pytest.raises(ValueError, match="pool_retries"):
             pmap(_square, range(4), workers=2, pool_retries=-1)
@@ -141,7 +133,7 @@ class TestPmapHardening:
         batch in order, including the chunk the dead worker held."""
         crasher = WorkerCrasher(_square, (3,), tmp_path)
         items = list(enumerate(range(12)))
-        out = pstarmap(crasher, items, workers=3, chunksize=2)
+        out = pmap(crasher, items, workers=3, chunksize=2)
         assert out == [x * x for x in range(12)]
         assert (tmp_path / "crashed-3").exists()
 
@@ -150,9 +142,7 @@ class TestPmapHardening:
         in-process (the marker makes the re-run side-effect free)."""
         crasher = WorkerCrasher(_square, (1,), tmp_path)
         items = list(enumerate(range(8)))
-        out = pstarmap(
-            crasher, items, workers=2, chunksize=1, pool_retries=0
-        )
+        out = pmap(crasher, items, workers=2, chunksize=1, pool_retries=0)
         assert out == [x * x for x in range(8)]
 
     def test_task_exception_beats_broken_pool(self, tmp_path):
@@ -160,7 +150,7 @@ class TestPmapHardening:
         retries are for infrastructure failures, not bad inputs."""
         crasher = WorkerCrasher(_fail_on_seven, (2,), tmp_path)
         with pytest.raises(ValueError, match="seven"):
-            pstarmap(
+            pmap(
                 crasher,
                 list(enumerate(range(10))),
                 workers=2,

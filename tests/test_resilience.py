@@ -646,59 +646,16 @@ class TestSupervisedService:
 
 
 class TestServeManyGuard:
-    """Satellite: the batch query path isolates failures and deadlines."""
+    """A failing query raises to its caller."""
 
-    @pytest.fixture(scope="class")
-    def engine(self, stream_result):
-        store = RollupStore.from_database(stream_result.database)
-        return QueryEngine(store)
-
-    def _query(self, stream_result, **overrides):
-        kwargs = dict(
-            kind="aggregate",
-            channel=Channel.POWER,
-            start_epoch_s=stream_result.start_epoch_s,
-            end_epoch_s=stream_result.end_epoch_s,
-            stat="mean",
+    def test_execute_still_raises_for_direct_callers(self, stream_result):
+        engine = QueryEngine(RollupStore.from_database(stream_result.database))
+        query = Query(
+            "aggregate",
+            Channel.POWER,
+            stream_result.start_epoch_s,
+            stream_result.end_epoch_s,
+            resolution_s=123.456,  # no such rollup level
         )
-        kwargs.update(overrides)
-        return Query(**kwargs)
-
-    def test_error_isolated_in_position(self, stream_result, engine):
-        good = self._query(stream_result)
-        bad = self._query(stream_result, resolution_s=123.456)  # no such level
-        results = engine.serve_many([good, bad, good], workers=2)
-        assert results[0].ok and results[2].ok
-        assert not results[1].ok
-        assert "KeyError" in results[1].error
-        assert engine.serve_counters.errors == 1
-        assert engine.serve_counters.served >= 2
-
-    def test_serial_path_also_guards(self, stream_result, engine):
-        bad = self._query(stream_result, resolution_s=999.0)
-        results = engine.serve_many([bad], workers=1)
-        assert not results[0].ok and results[0].error
-
-    def test_timeout_returns_structured_result(self, stream_result, engine):
-        import time
-
-        original = engine.execute
-
-        def stalled(query):
-            time.sleep(0.5)
-            return original(query)
-
-        engine.execute = stalled
-        try:
-            results = engine.serve_many(
-                [self._query(stream_result)], workers=2, timeout_s=0.05
-            )
-        finally:
-            engine.execute = original
-        assert not results[0].ok
-        assert "timeout" in results[0].error
-        assert engine.serve_counters.timeouts == 1
-
-    def test_execute_still_raises_for_direct_callers(self, stream_result, engine):
         with pytest.raises(KeyError):
-            engine.execute(self._query(stream_result, resolution_s=123.456))
+            engine.execute(query)

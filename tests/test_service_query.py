@@ -9,6 +9,8 @@ Acceptance contracts exercised here:
   invalidates exactly the entries whose window it touches.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -305,7 +307,7 @@ class TestCaching:
 
 
 class TestConcurrency:
-    def test_serve_many_matches_sequential(self, faulted_result, faulted_store):
+    def test_threaded_execute_matches_sequential(self, faulted_result, faulted_store):
         start, end = _span(faulted_result)
         queries = []
         for day in range(20):
@@ -318,7 +320,9 @@ class TestConcurrency:
                     stat=("mean", "max", "coverage")[day % 3],
                 )
             )
-        concurrent = QueryEngine(faulted_store).serve_many(queries, workers=6)
+        shared = QueryEngine(faulted_store)
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            concurrent = list(pool.map(shared.execute, queries))
         sequential = [QueryEngine(faulted_store).execute(q) for q in queries]
         assert len(concurrent) == len(queries)
         for got, want, query in zip(concurrent, sequential, queries):
@@ -326,12 +330,6 @@ class TestConcurrency:
             np.testing.assert_allclose(
                 got.value, want.value, rtol=1e-12, equal_nan=True
             )
-
-    def test_serve_many_single_worker_and_empty(self, faulted_store):
-        engine = QueryEngine(faulted_store)
-        assert engine.serve_many([]) == []
-        query = Query("aggregate", Channel.POWER, 0.0, 300.0)
-        assert len(engine.serve_many([query], workers=1)) == 1
 
 
 class TestValidation:
