@@ -302,7 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--archive",
         type=Path,
         default=None,
-        help="serve this saved telemetry archive instead of simulating",
+        help=(
+            "serve this saved telemetry archive instead of simulating "
+            "(read-only: implies --no-ingest)"
+        ),
     )
     serve_http.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_http.add_argument(
@@ -679,13 +682,15 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     else:
         database = _simulated_database(args.days, args.seed, args.dt).database
 
-    ingest = None if args.no_ingest else IngestServerConfig(tokens=tokens)
+    # An archive is a read-only view, so it never takes ingest.
+    read_only = args.no_ingest or args.archive is not None
+    ingest = None if read_only else IngestServerConfig(tokens=tokens)
     app = OperationsApp.from_database(
         database, cache_size=args.cache_size, ingest=ingest
     )
     server = OperationsHttpServer(app, host=args.host, port=args.port)
     host, port = server.address
-    mode = "read-only" if args.no_ingest else (
+    mode = "read-only" if read_only else (
         "authenticated ingest" if tokens else "open ingest"
     )
     print(

@@ -110,6 +110,10 @@ def analyze_aftermath(
     delimited by consecutive ``lag_buckets_h`` entries, the first
     starting at zero), normalized to the first bucket's rate.
 
+    The report runs the same analysis on the CMFs it deduplicated once
+    for Figs 10-11 (:func:`analyze_aftermath_from_failures`); this is
+    the whole-log reference.
+
     Args:
         ras_log: Raw RAS log (storms included; dedup happens here).
         lag_buckets_h: Window widths of Fig 14(a).
@@ -119,7 +123,28 @@ def analyze_aftermath(
     Raises:
         ValueError: if the log contains no CMFs.
     """
-    cmfs = deduplicate_cmf_events(ras_log)
+    return analyze_aftermath_from_failures(
+        deduplicate_cmf_events(ras_log),
+        ras_log,
+        lag_buckets_h,
+        example_count,
+        min_followers,
+    )
+
+
+def analyze_aftermath_from_failures(
+    cmfs: DeduplicatedFailures,
+    ras_log: RasLog,
+    lag_buckets_h: Sequence[float] = DEFAULT_LAG_BUCKETS_H,
+    example_count: int = 3,
+    min_followers: int = 3,
+) -> AftermathAnalysis:
+    """:func:`analyze_aftermath` given the CMFs already deduplicated
+    from ``ras_log`` (:func:`deduplicate_cmf_events`).
+
+    Raises:
+        ValueError: if ``cmfs`` is empty.
+    """
     noncmfs = deduplicate_noncmf_events(ras_log)
     if cmfs.count == 0:
         raise ValueError("no CMF events in the RAS log")

@@ -25,6 +25,7 @@ from repro.analytics.incremental.memo import (
     default_store,
 )
 from repro.analytics.incremental.sections import (
+    RACK_PROFILE_STATE,
     SECTION_STATES,
     SERIES_COLUMNS,
     TELEMETRY_INDEPENDENT_SECTIONS,
@@ -33,9 +34,14 @@ from repro.analytics.incremental.sections import (
     rack_means,
     system_series,
 )
-from repro.core.aftermath import NO_AFTERMATH, analyze_aftermath
+from repro.core.aftermath import NO_AFTERMATH, analyze_aftermath_from_failures
 from repro.core.environment import AmbientSpatial, ambient_trends_from_series
-from repro.core.failure_analysis import analyze_cmfs
+from repro.core.failure_analysis import (
+    CORRELATED_CHANNELS,
+    DeduplicatedFailures,
+    analyze_cmfs_from_failures,
+    deduplicate_cmf_events,
+)
 from repro.core.leadup import aggregate_leadup
 from repro.core.prediction import sweep_leads
 from repro.core.report import Band, ReportRow, format_band, format_value
@@ -49,6 +55,7 @@ from repro.core.trends import (
 from repro.parallel import resolve_workers
 from repro.simulation.engine import SimulationResult
 from repro.simulation.windows import LeadupWindow, WindowSynthesizer
+from repro.telemetry.ras import RasLog
 from repro.telemetry.records import Channel
 
 #: A fold-state payload (see :mod:`repro.analytics.incremental.sections`).
@@ -254,8 +261,10 @@ def fig9_rows(state: FoldState) -> List[ReportRow]:
     ]
 
 
-def fig10_11_rows(result: SimulationResult) -> List[ReportRow]:
-    analysis = analyze_cmfs(result.ras_log, result.database)
+def fig10_11_rows(cmfs: DeduplicatedFailures, state: FoldState) -> List[ReportRow]:
+    analysis = analyze_cmfs_from_failures(
+        cmfs, {ch: rack_means(state, ch) for ch in CORRELATED_CHANNELS}
+    )
     return [
         ReportRow("Fig 10", "total CMFs", constants.TOTAL_CMFS, analysis.total,
                   band=_exactly(constants.TOTAL_CMFS)),
@@ -334,11 +343,11 @@ def fig13_rows(
     ]
 
 
-def fig14_15_rows(result: SimulationResult) -> List[ReportRow]:
-    log = result.ras_log
+def fig14_15_rows(cmfs: DeduplicatedFailures, ras_log: RasLog) -> List[ReportRow]:
     # Lags run from a CMF; a log without one has nothing to measure.
-    has_cmf = any(event.is_cmf and event.is_fatal for event in log)
-    analysis = analyze_aftermath(log) if has_cmf else NO_AFTERMATH
+    analysis = (
+        analyze_aftermath_from_failures(cmfs, ras_log) if cmfs.count else NO_AFTERMATH
+    )
     return [
         ReportRow("Fig 14a", "rate at 6 h / rate at 3 h (paper: < 0.75)",
                   constants.AFTERMATH_RATE_6H, analysis.rate_6h, band=(-inf, 0.9)),
@@ -374,8 +383,9 @@ def _rack(pair: Tuple[int, int]):
 #: Canonical section order: (title, per-section builder).  The assembled
 #: report always iterates in this order, with Figs 12/13 last when the
 #: windows are synthesized.  Figs 2-9 build from their fold state (see
-#: :data:`~repro.analytics.incremental.sections.SECTION_STATES`), the
-#: others from the simulation result.
+#: :data:`~repro.analytics.incremental.sections.SECTION_STATES`); Figs
+#: 10-11 from the report's one 6 h CMF dedup and the rack-profile state,
+#: Figs 14-15 from that dedup and the RAS log.
 SECTION_BUILDERS: Tuple[Tuple[str, Callable[..., List[ReportRow]]], ...] = (
     ("Fig 2 — year-over-year power and utilization", fig2_rows),
     ("Fig 3 — coolant flow and temperatures", fig3_rows),
@@ -486,6 +496,14 @@ def full_report(
         cfg_digest = config_digest(result.config)
     windows: List[List[LeadupWindow]] = []
     states: Dict[str, FoldState] = {}
+    # The 6 h CMF dedup behind Figs 10-11 and 14-15, run once, by the
+    # first of them that misses the memo.
+    deduplicated: List[DeduplicatedFailures] = []
+
+    def cmfs() -> DeduplicatedFailures:
+        if not deduplicated:
+            deduplicated.append(deduplicate_cmf_events(result.ras_log))
+        return deduplicated[0]
 
     def state(state_id: str) -> FoldState:
         if state_id not in states:
@@ -505,8 +523,12 @@ def full_report(
                 return fig12_rows(windows[0])
             return fig13_rows(*windows, workers=resolve_workers(workers))
         if name in SECTION_STATES:
-            return _BUILDERS_BY_NAME[name](state(SECTION_STATES[name]))
-        return _BUILDERS_BY_NAME[name](result)
+            inputs = (state(SECTION_STATES[name]),)
+        elif name == "fig10_11_rows":
+            inputs = (cmfs(), state(RACK_PROFILE_STATE))
+        else:  # fig14_15_rows
+            inputs = (cmfs(), result.ras_log)
+        return _BUILDERS_BY_NAME[name](*inputs)
 
     sections: Dict[str, List[ReportRow]] = {}
     for name, title in titles.items():

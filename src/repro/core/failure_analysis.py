@@ -19,7 +19,7 @@ messages per incident.  The paper's methodology (Section VI):
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,11 +155,23 @@ class CmfAnalysis:
         return (early + late) / times.size > 0.7
 
 
+#: The channels whose per-rack means Fig 11's counts are correlated with.
+CORRELATED_CHANNELS = (
+    Channel.UTILIZATION,
+    Channel.OUTLET_TEMPERATURE,
+    Channel.DC_HUMIDITY,
+)
+
+
 def analyze_cmfs(
     ras_log: RasLog,
     database: Optional[EnvironmentalDatabase] = None,
 ) -> CmfAnalysis:
-    """Run the full Fig 10/11 characterization.
+    """Run the full Fig 10/11 characterization over the whole store.
+
+    The report builds the same analysis from its one shared dedup and
+    the rack-profile fold (:func:`analyze_cmfs_from_failures`); this is
+    the independent whole-store reference it is tested against.
 
     Args:
         ras_log: The raw RAS log (storms included).
@@ -167,15 +179,32 @@ def analyze_cmfs(
             without it the correlations are reported as NaN.
     """
     failures = deduplicate_cmf_events(ras_log)
-    rack_counts = failures.rack_counts()
-
+    means = None
     if database is not None and failures.count > 0:
-        utilization = database.channel(Channel.UTILIZATION).per_rack_mean()
-        outlet = database.channel(Channel.OUTLET_TEMPERATURE).per_rack_mean()
-        humidity = database.channel(Channel.DC_HUMIDITY).per_rack_mean()
-        util_corr = pearson_or_nan(rack_counts, utilization)
-        outlet_corr = pearson_or_nan(rack_counts, outlet)
-        humidity_corr = pearson_or_nan(rack_counts, humidity)
+        means = {
+            channel: database.channel(channel).per_rack_mean()
+            for channel in CORRELATED_CHANNELS
+        }
+    return analyze_cmfs_from_failures(failures, means)
+
+
+def analyze_cmfs_from_failures(
+    failures: DeduplicatedFailures,
+    rack_means: Optional[Mapping[Channel, np.ndarray]] = None,
+) -> CmfAnalysis:
+    """Figs 10-11 from already-deduplicated CMFs.
+
+    Args:
+        failures: The CMFs after :func:`deduplicate_cmf_events`.
+        rack_means: Each :data:`CORRELATED_CHANNELS` channel's per-rack
+            time mean; without them the correlations read NaN.
+    """
+    rack_counts = failures.rack_counts()
+    if rack_means is not None and failures.count > 0:
+        util_corr, outlet_corr, humidity_corr = (
+            pearson_or_nan(rack_counts, rack_means[channel])
+            for channel in CORRELATED_CHANNELS
+        )
     else:
         util_corr = outlet_corr = humidity_corr = float("nan")
 

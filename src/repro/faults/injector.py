@@ -426,9 +426,7 @@ class FaultInjector:
         out = EnvironmentalDatabase(
             num_racks=racks,
             capacity_hint=len(indices),
-            policy=IngestPolicy.lenient(
-                reorder_window_s=window, duplicate_policy="merge"
-            ),
+            policy=IngestPolicy.lenient(reorder_window_s=window),
         )
         for pos in order:
             row = int(all_indices[pos])

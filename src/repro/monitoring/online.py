@@ -26,9 +26,7 @@ problems instead of raising:
   :attr:`~OnlineCmfPredictor.gap_reset_s` has its history reset, so
   features never interpolate across an outage.
 
-Every such decision increments :class:`PredictorCounters`.  Passing
-``strict=True`` restores the historical contract: missing channels and
-out-of-order samples raise ``ValueError``.
+Every such decision increments :class:`PredictorCounters`.
 """
 
 from __future__ import annotations
@@ -204,9 +202,6 @@ class OnlineCmfPredictor:
         sample_period_s: Expected cadence; history is pruned to the
             feature span plus slack, and the tolerance defaults below
             scale with it.
-        strict: Restore the historical contract — missing channels and
-            out-of-order arrivals raise ``ValueError`` instead of
-            being repaired/dropped.
         locf_staleness_s: How old the rack's newest sample may be and
             still donate carry-forward values (default: six sample
             periods).
@@ -222,7 +217,6 @@ class OnlineCmfPredictor:
         self,
         model: TrainResult,
         sample_period_s: float = float(constants.MONITOR_SAMPLE_PERIOD_S),
-        strict: bool = False,
         locf_staleness_s: Optional[float] = None,
         gap_reset_s: Optional[float] = None,
     ) -> None:
@@ -230,7 +224,6 @@ class OnlineCmfPredictor:
             raise ValueError("sample period must be positive")
         self.model = model
         self.sample_period_s = sample_period_s
-        self.strict = strict
         self.locf_staleness_s = (
             6.0 * sample_period_s if locf_staleness_s is None else locf_staleness_s
         )
@@ -279,22 +272,11 @@ class OnlineCmfPredictor:
 
         Missing or NaN predictor channels are repaired by carry-forward
         when recent history allows; late and duplicate samples are
-        dropped.  With ``strict=True`` missing channels and late
-        arrivals raise ``ValueError`` as they historically did.
+        dropped.
 
         Returns:
             The prediction, once the rack's history suffices.
-
-        Raises:
-            ValueError: strict mode only — on missing channels or
-                out-of-order arrival.
         """
-        if self.strict:
-            missing = [ch for ch in PREDICTOR_CHANNELS if ch not in channel_values]
-            if missing:
-                raise ValueError(
-                    f"missing channels: {[m.column for m in missing]}"
-                )
         row = [[float(channel_values.get(ch, np.nan)) for ch in PREDICTOR_CHANNELS]]
         predictions = self.consume_block(np.array([epoch_s]), rack_id, np.array(row))
         return predictions[0] if predictions else None
@@ -343,55 +325,47 @@ class OnlineCmfPredictor:
         pending: List[tuple] = []
         # Counted in locals and added once per block: a locked bump
         # costs about a microsecond, too much to pay per row.
-        consumed = 0
         tally: "collections.Counter[str]" = collections.Counter()
-        try:
-            for i, epoch in enumerate(epochs.tolist()):
-                consumed += 1
-                row = block[i]
-                if history is not None and history.size:
-                    last = history.last_time
-                    if epoch < last:
-                        if self.strict:
-                            raise ValueError(
-                                "samples must arrive in time order per rack"
-                            )
-                        tally["dropped_late"] += 1
-                        continue
-                    if not self.strict and epoch == last:
-                        tally["dropped_duplicate"] += 1
-                        continue
-                    if epoch - last > self.gap_reset_s:
-                        # The stream went silent; interpolating across the
-                        # gap would fabricate six hours of physics.  Start over.
-                        self.reset(rack_id)
-                        history = None
-                        tally["gap_resets"] += 1
-                if not complete[i]:
-                    holes = ~finite[i]
-                    donor = None
-                    if (
-                        history is not None
-                        and history.size
-                        and epoch - history.last_time <= self.locf_staleness_s
-                    ):
-                        donor = history.last_row
-                    if donor is None or not np.isfinite(donor[holes]).all():
-                        tally["dropped_incomplete"] += 1
-                        continue
-                    row = np.where(holes, donor, row)
-                    tally["locf_fills"] += int(holes.sum())
-                if history is None:
-                    history = _RackHistory(len(PREDICTOR_CHANNELS))
-                    history.reserve(n - i)
-                    self._history[rack_id] = history
-                history.append(epoch, row)
-                history.prune_before(epoch - self._span_s)
-                if self._ready(history):
-                    start = history.start
-                    pending.append((history, start, start + history.size, epoch))
-        finally:
-            self.counters.add(consumed=consumed, predictions=len(pending), **tally)
+        for i, epoch in enumerate(epochs.tolist()):
+            row = block[i]
+            if history is not None and history.size:
+                last = history.last_time
+                if epoch < last:
+                    tally["dropped_late"] += 1
+                    continue
+                if epoch == last:
+                    tally["dropped_duplicate"] += 1
+                    continue
+                if epoch - last > self.gap_reset_s:
+                    # The stream went silent; interpolating across the
+                    # gap would fabricate six hours of physics.  Start over.
+                    self.reset(rack_id)
+                    history = None
+                    tally["gap_resets"] += 1
+            if not complete[i]:
+                holes = ~finite[i]
+                donor = None
+                if (
+                    history is not None
+                    and history.size
+                    and epoch - history.last_time <= self.locf_staleness_s
+                ):
+                    donor = history.last_row
+                if donor is None or not np.isfinite(donor[holes]).all():
+                    tally["dropped_incomplete"] += 1
+                    continue
+                row = np.where(holes, donor, row)
+                tally["locf_fills"] += int(holes.sum())
+            if history is None:
+                history = _RackHistory(len(PREDICTOR_CHANNELS))
+                history.reserve(n - i)
+                self._history[rack_id] = history
+            history.append(epoch, row)
+            history.prune_before(epoch - self._span_s)
+            if self._ready(history):
+                start = history.start
+                pending.append((history, start, start + history.size, epoch))
+        self.counters.add(consumed=n, predictions=len(pending), **tally)
         if not pending:
             return []
         features: List[np.ndarray] = []

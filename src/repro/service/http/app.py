@@ -77,6 +77,13 @@ class RequestCounters(Counters):
     connection_errors: int
 
 
+def _outcome(status: int) -> str:
+    """The :class:`RequestCounters` field a response status counts under."""
+    if status < 400:
+        return "served"
+    return "client_errors" if status < 500 else "server_errors"
+
+
 class RouteCounters(Counters):
     """Requests per ``_ROUTE_TABLE`` route; every other path counts as
     ``other``, so unknown paths cannot grow ``/metrics``."""
@@ -182,15 +189,17 @@ class OperationsApp:
                 500, "internal", f"{type(exc).__name__}: {exc}"
             ).payload()
             extra = {}
-        if status < 400:
-            self.counters.add(requests=1, served=1)
-        elif status < 500:
-            self.counters.add(requests=1, client_errors=1)
-        else:
-            self.counters.add(requests=1, server_errors=1)
+        self.counters.add(requests=1, **{_outcome(status): 1})
         route = f"{method} {path}"
         self.routes.add(**{route if route in _ROUTE_TABLE else "other": 1})
         return status, payload, extra
+
+    def recount_as_server_error(self, status: int) -> None:
+        """Re-file one request :meth:`handle` counted under ``status``
+        as a server error: its payload failed to encode afterwards."""
+        counted = _outcome(status)
+        if counted != "server_errors":
+            self.counters.add(**{counted: -1, "server_errors": 1})
 
     def _dispatch(
         self,

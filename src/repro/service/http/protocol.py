@@ -325,12 +325,12 @@ def decode_batch(
         channels[channel] = matrix
 
     quality: Dict[Channel, np.ndarray] = {}
-    raw_quality = body.get("quality")
-    if raw_quality is not None:
-        if not isinstance(raw_quality, dict):
+    quality_body = body.get("quality")
+    if quality_body is not None:
+        if not isinstance(quality_body, dict):
             raise ApiError(400, "bad_request", "quality must be an object")
         valid_flags = {int(q) for q in Quality}
-        for column, rows in raw_quality.items():
+        for column, rows in quality_body.items():
             try:
                 channel = channel_for_column(str(column))
             except ValueError as exc:

@@ -117,7 +117,18 @@ class _OperationsHandler(BaseHTTPRequestHandler):
         return body
 
     def _respond(self, status: int, payload: Dict, extra: Dict[str, str]) -> None:
-        encoded = dumps(payload)
+        app: OperationsApp = self.server.app  # type: ignore[attr-defined]
+        try:
+            encoded = dumps(payload)
+        except (TypeError, ValueError) as exc:
+            # The encoder's tripwire (a NaN, or a type JSON lacks)
+            # caught a protocol bug after the app counted the request:
+            # answer the structured 500 and count the request as that.
+            app.recount_as_server_error(status)
+            status, extra = 500, {}
+            encoded = dumps(
+                ApiError(500, "internal", f"{type(exc).__name__}: {exc}").payload()
+            )
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -129,7 +140,6 @@ class _OperationsHandler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             # The client hung up mid-response: count it, drop the
             # connection, and keep serving.
-            app: OperationsApp = self.server.app  # type: ignore[attr-defined]
             app.counters.add(connection_errors=1)
             self.close_connection = True
 

@@ -6,11 +6,9 @@ channel (the vectorized simulator emits whole-floor snapshots).  The
 store keeps each channel as a growable ``(time, rack)`` matrix and
 serves the query shapes the analyses need: whole-channel
 :class:`~repro.telemetry.series.TimeSeries`, single-rack series, time
-windows, and system-level aggregates.
-
-Single :class:`~repro.cooling.monitor.SensorReading` records can also
-be ingested (the slow path used when exercising the monitor objects
-directly).
+windows, and system-level aggregates.  Every row reaches the matrices
+through one writer: :meth:`EnvironmentalDatabase.append_snapshot` is a
+one-row :meth:`~EnvironmentalDatabase.append_block`.
 
 Data quality
 ------------
@@ -19,16 +17,21 @@ Production facility telemetry is not pristine: readings arrive late,
 twice, or never.  Two mechanisms make the store robust to that:
 
 * an **ingest policy** (:class:`IngestPolicy`).  The default,
-  *strict*, policy preserves the historical contract — out-of-order
-  samples raise ``ValueError``.  A *lenient* policy instead holds
-  late-but-close samples in a bounded reorder buffer, resolves
-  duplicate timestamps (first/last/merge), drops hopelessly late rows,
-  and counts every degraded decision in :class:`IngestCounters`;
+  *strict*, policy raises ``ValueError`` on out-of-order samples.  A
+  *lenient* policy instead holds late-but-close samples in a bounded
+  reorder buffer, merges a sample whose timestamp is already stored or
+  buffered into that row (filling only its NaN holes), drops
+  hopelessly late rows, and counts every degraded decision in
+  :class:`IngestCounters`;
 * per-channel **quality masks** — a ``uint8``
   :class:`~repro.telemetry.records.Quality` matrix parallel to each
-  value matrix, marking every cell ``ok``/``missing`` at ingest and
-  letting the scrubber (:mod:`repro.telemetry.quality`) escalate cells
-  to ``suspect``/``scrubbed`` later.
+  value matrix, marking every cell ``ok``/``missing`` at ingest
+  (:func:`presence_flags`) and letting the scrubber
+  (:mod:`repro.telemetry.quality`) escalate cells to
+  ``suspect``/``scrubbed`` later.  An archive view
+  (:mod:`repro.telemetry.archive`) stores no flags and derives the
+  same ones on a channel's first read, so every store holds a quality
+  matrix per channel.
 
 All query accessors return arrays with ``writeable=False`` so callers
 cannot silently corrupt the store.
@@ -37,7 +40,7 @@ cannot silently corrupt the store.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,61 +58,35 @@ from repro.telemetry.digest import (
 from repro.telemetry.records import CHANNELS, Channel, Quality
 from repro.telemetry.series import TimeSeries
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    # Imported only for annotations: a module-level import would close
-    # the cycle telemetry.database -> cooling -> cooling.balancer ->
-    # telemetry.database and make ``import repro.telemetry`` order-
-    # dependent.
-    from repro.cooling.monitor import SensorReading
-
-#: Duplicate-timestamp resolutions available to a lenient policy.
-_DUPLICATE_POLICIES = ("first", "last", "merge")
-
 
 @dataclasses.dataclass(frozen=True)
 class IngestPolicy:
     """How the database treats imperfectly delivered samples.
 
     Attributes:
-        strict: With the default strict policy the database behaves as
-            it always has: out-of-order samples raise ``ValueError``
-            and equal timestamps append as distinct rows.  A lenient
-            policy (``strict=False``) never raises on delivery-order
-            problems.
+        strict: With the default strict policy out-of-order samples
+            raise ``ValueError`` and equal timestamps append as
+            distinct rows.  A lenient policy (``strict=False``) never
+            raises on delivery-order problems: a sample whose
+            timestamp matches a stored or buffered row is merged into
+            it, filling only the cells that row is missing.
         reorder_window_s: Lenient only — samples no older than the
             newest seen timestamp minus this window are buffered and
             committed in timestamp order; older samples are dropped
             (and counted).
-        duplicate_policy: Lenient only — what to do when a sample's
-            timestamp matches a stored or buffered row: ``"first"``
-            keeps the original, ``"last"`` overwrites with the new
-            values, ``"merge"`` fills only the cells the original is
-            missing.
     """
 
     strict: bool = True
     reorder_window_s: float = 0.0
-    duplicate_policy: str = "merge"
 
     def __post_init__(self) -> None:
         if self.reorder_window_s < 0:
             raise ValueError("reorder window cannot be negative")
-        if self.duplicate_policy not in _DUPLICATE_POLICIES:
-            raise ValueError(
-                f"duplicate_policy must be one of {_DUPLICATE_POLICIES}, "
-                f"got {self.duplicate_policy!r}"
-            )
 
     @staticmethod
-    def lenient(
-        reorder_window_s: float = 0.0, duplicate_policy: str = "merge"
-    ) -> "IngestPolicy":
+    def lenient(reorder_window_s: float = 0.0) -> "IngestPolicy":
         """A non-raising policy for realistically faulty streams."""
-        return IngestPolicy(
-            strict=False,
-            reorder_window_s=reorder_window_s,
-            duplicate_policy=duplicate_policy,
-        )
+        return IngestPolicy(strict=False, reorder_window_s=reorder_window_s)
 
 
 class IngestCounters(Counters):
@@ -119,7 +96,7 @@ class IngestCounters(Counters):
     accepted_rows: int
     #: Rows that arrived behind a newer timestamp and were re-sorted.
     reordered_rows: int
-    #: Rows whose timestamp matched an existing row and were resolved.
+    #: Rows whose timestamp matched an existing row and were merged.
     duplicate_rows: int
     #: Rows older than the reorder window, dropped outright.
     dropped_late_rows: int
@@ -130,6 +107,29 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     view = array[...]
     view.flags.writeable = False
     return view
+
+
+def presence_flags(values: np.ndarray) -> np.ndarray:
+    """The :class:`Quality` a cell gets at ingest: ``OK`` where a value
+    is present, ``MISSING`` where it is NaN (``uint8``, shaped like
+    ``values``)."""
+    # The int64 ``where`` then ``astype`` is deliberate: a direct uint8
+    # ``where`` frees no large temporary, which left glibc's mmap
+    # threshold low and made the rollup growth that follows an archive
+    # open fault in fresh pages (perfbench ``dashboard`` start-up
+    # 0.50 -> 0.66 s on a 2-core x86 box).
+    return np.where(
+        np.isfinite(values), int(Quality.OK), int(Quality.MISSING)
+    ).astype(np.uint8)
+
+
+def _fill_holes(target: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Copy ``values`` into the non-finite cells of ``target`` in place
+    (the duplicate merge); returns the mask of cells that gained a
+    value."""
+    filled = ~np.isfinite(target) & np.isfinite(values)
+    target[filled] = values[filled]
+    return filled
 
 
 def covered_sum(values: np.ndarray, num_racks: int) -> np.ndarray:
@@ -161,8 +161,7 @@ class EnvironmentalDatabase:
         num_racks: Width of the rack axis (48 for Mira).
         capacity_hint: Expected number of samples; preallocating
             avoids repeated growth for long simulations.
-        policy: Ingest policy; defaults to the historical strict
-            contract.
+        policy: Ingest policy; defaults to strict.
     """
 
     def __init__(
@@ -180,16 +179,16 @@ class EnvironmentalDatabase:
         self._columns: Dict[Channel, np.ndarray] = {
             ch: np.full((self._capacity, num_racks), np.nan) for ch in CHANNELS
         }
-        self._quality: Optional[Dict[Channel, np.ndarray]] = {
+        self._quality: Dict[Channel, np.ndarray] = {
             ch: np.full(
                 (self._capacity, num_racks), int(Quality.MISSING), dtype=np.uint8
             )
             for ch in CHANNELS
         }
-        self._derived_quality: Dict[Channel, np.ndarray] = {}
         self.policy = policy if policy is not None else IngestPolicy()
         self.counters = IngestCounters()
-        #: Arrived-but-uncommitted rows (lenient reorder buffer).
+        #: Arrived-but-uncommitted rows (lenient reorder buffer), each
+        #: holding a vector for every channel.
         self._pending: List[Tuple[float, Dict[Channel, np.ndarray]]] = []
         #: Newest timestamp ever seen (committed or pending).
         self._watermark = -np.inf
@@ -197,7 +196,7 @@ class EnvironmentalDatabase:
     # -- ingest ---------------------------------------------------------------
 
     def _grow(self) -> None:
-        new_capacity = self._capacity * 2
+        new_capacity = max(16, self._capacity * 2)
         new_epoch = np.empty(new_capacity, dtype="float64")
         new_epoch[: self._size] = self._epoch[: self._size]
         self._epoch = new_epoch
@@ -205,184 +204,65 @@ class EnvironmentalDatabase:
             new_column = np.full((new_capacity, self._num_racks), np.nan)
             new_column[: self._size] = column[: self._size]
             self._columns[channel] = new_column
-        if self._quality is not None:
-            for channel, matrix in self._quality.items():
-                new_matrix = np.full(
-                    (new_capacity, self._num_racks),
-                    int(Quality.MISSING),
-                    dtype=np.uint8,
-                )
-                new_matrix[: self._size] = matrix[: self._size]
-                self._quality[channel] = new_matrix
+        for channel, matrix in self._quality.items():
+            new_matrix = np.full(
+                (new_capacity, self._num_racks),
+                int(Quality.MISSING),
+                dtype=np.uint8,
+            )
+            new_matrix[: self._size] = matrix[: self._size]
+            self._quality[channel] = new_matrix
         self._capacity = new_capacity
 
-    def _validate_row(
-        self, channel_values: Dict[Channel, np.ndarray]
-    ) -> Dict[Channel, np.ndarray]:
-        validated = {}
-        for channel, vector in channel_values.items():
-            values = np.array(vector, dtype="float64", copy=True)
-            if values.shape != (self._num_racks,):
-                raise ValueError(
-                    f"{channel}: expected shape ({self._num_racks},), got {values.shape}"
-                )
-            validated[channel] = values
-        return validated
-
-    def _append_row(
-        self, epoch_s: float, channel_values: Dict[Channel, np.ndarray]
-    ) -> None:
-        """Commit one validated row at the end of the store (the caller
-        counts it, once per call rather than per row)."""
-        if self._size == self._capacity:
+    def _write(self, epochs: np.ndarray, matrices: Dict[Channel, np.ndarray]) -> None:
+        """The one writer: commit validated rows, in timestamp order, at
+        the end of the store.  Channels absent from ``matrices`` keep
+        their NaN/``MISSING`` fill."""
+        count = len(epochs)
+        while self._size + count > self._capacity:
             self._grow()
-        index = self._size
-        self._epoch[index] = epoch_s
-        for channel, values in channel_values.items():
-            self._columns[channel][index] = values
-            if self._quality is not None:
-                self._quality[channel][index] = np.where(
-                    np.isfinite(values), int(Quality.OK), int(Quality.MISSING)
-                )
-        self._size += 1
+        start, end = self._size, self._size + count
+        self._epoch[start:end] = epochs
+        for channel, matrix in matrices.items():
+            self._columns[channel][start:end] = matrix
+            self._quality[channel][start:end] = presence_flags(matrix)
+        self._size = end
+        self._watermark = max(self._watermark, float(epochs[-1]))
+        self.counters.add(accepted_rows=count)
 
     def append_snapshot(
         self, epoch_s: float, channel_values: Dict[Channel, np.ndarray]
     ) -> None:
-        """Append one whole-floor sample.
+        """Append one whole-floor sample: an :meth:`append_block` of one row.
 
         Args:
-            epoch_s: Sample timestamp.  Under the strict policy it must
-                not precede the last one; a lenient policy buffers,
-                reorders, deduplicates, or drops it instead.
+            epoch_s: Sample timestamp.
             channel_values: Per-channel vectors of length ``num_racks``.
                 Channels not supplied are stored as NaN (quality
                 ``missing``).
 
         Raises:
-            ValueError: on wrong-width vectors; under the strict
-                policy, also on out-of-order timestamps.
+            ValueError: as :meth:`append_block` does.
         """
-        validated = self._validate_row(channel_values)
-        if self.policy.strict:
-            if self._size > 0 and epoch_s < self._epoch[self._size - 1]:
-                raise ValueError(
-                    f"out-of-order snapshot: {epoch_s} after "
-                    f"{self._epoch[self._size - 1]}"
-                )
-            self._append_row(epoch_s, validated)
-            self._watermark = max(self._watermark, epoch_s)
-            self.counters.add(accepted_rows=1)
-            return
-        self._lenient_ingest(float(epoch_s), validated)
-
-    def _lenient_ingest(
-        self, epoch_s: float, validated: Dict[Channel, np.ndarray]
-    ) -> None:
-        # Duplicate of a buffered row?
-        for i, (pending_epoch, pending_values) in enumerate(self._pending):
-            if pending_epoch == epoch_s:
-                self._pending[i] = (
-                    pending_epoch,
-                    self._merge_rows(pending_values, validated),
-                )
-                self.counters.add(duplicate_rows=1)
-                return
-        last_committed = self._epoch[self._size - 1] if self._size else -np.inf
-        if epoch_s <= last_committed:
-            # Duplicate of a committed row, or hopelessly late.
-            index = int(np.searchsorted(self._epoch[: self._size], epoch_s))
-            if index < self._size and self._epoch[index] == epoch_s:
-                self._merge_committed(index, validated)
-                self.counters.add(duplicate_rows=1)
-            else:
-                self.counters.add(dropped_late_rows=1)
-            return
-        if epoch_s < self._watermark:
-            self.counters.add(reordered_rows=1)
-        self._pending.append((epoch_s, validated))
-        self._watermark = max(self._watermark, epoch_s)
-        self._commit_ready()
-
-    def _merge_rows(
-        self,
-        existing: Dict[Channel, np.ndarray],
-        incoming: Dict[Channel, np.ndarray],
-    ) -> Dict[Channel, np.ndarray]:
-        """Resolve two rows with the same timestamp per the policy."""
-        mode = self.policy.duplicate_policy
-        if mode == "first":
-            return existing
-        if mode == "last":
-            merged = dict(existing)
-            merged.update(incoming)
-            return merged
-        merged = dict(existing)
-        for channel, values in incoming.items():
-            current = merged.get(channel)
-            if current is None:
-                merged[channel] = values
-            else:
-                holes = ~np.isfinite(current)
-                if holes.any():
-                    filled = current.copy()
-                    filled[holes] = values[holes]
-                    merged[channel] = filled
-        return merged
-
-    def _merge_committed(
-        self, index: int, incoming: Dict[Channel, np.ndarray]
-    ) -> None:
-        """Resolve a duplicate against an already-committed row."""
-        mode = self.policy.duplicate_policy
-        if mode == "first":
-            return
-        for channel, values in incoming.items():
-            column = self._columns[channel]
-            if mode == "last":
-                column[index] = values
-            else:  # merge: fill only the holes
-                holes = ~np.isfinite(column[index])
-                if holes.any():
-                    column[index, holes] = values[holes]
-            if self._quality is not None:
-                self._quality[channel][index] = np.where(
-                    np.isfinite(column[index]),
-                    int(Quality.OK),
-                    int(Quality.MISSING),
-                )
-        self._invalidate_digest_rows(index, index + 1)
-
-    def _commit_ready(self, force: bool = False) -> None:
-        """Commit buffered rows that can no longer be reordered."""
-        if not self._pending:
-            return
-        cutoff = (
-            np.inf if force else self._watermark - self.policy.reorder_window_s
+        self.append_block(
+            np.array([epoch_s], dtype="float64"),
+            {
+                channel: np.asarray(vector, dtype="float64")[np.newaxis]
+                for channel, vector in channel_values.items()
+            },
         )
-        ready = [row for row in self._pending if row[0] <= cutoff]
-        if not ready:
-            return
-        self._pending = [row for row in self._pending if row[0] > cutoff]
-        ready.sort(key=lambda row: row[0])
-        for epoch_s, values in ready:
-            self._append_row(epoch_s, values)
-        self.counters.add(accepted_rows=len(ready))
-
-    def flush(self) -> None:
-        """Commit every buffered row (end of stream, or before a query)."""
-        self._commit_ready(force=True)
 
     def append_block(
         self, epoch_s: np.ndarray, channel_values: Dict[Channel, np.ndarray]
     ) -> None:
-        """Append a whole block of samples in one bulk write.
+        """Append a block of samples.
 
-        The fast path for the vectorized simulation engine: one call
-        ingests ``(steps, racks)`` matrices per channel instead of
-        ``steps`` dict-validated rows.  Under a lenient policy the
-        block is routed row-by-row through the reorder/duplicate
-        machinery instead.
+        Under the strict policy the block is written in one bulk copy.
+        Under a lenient policy each row passes through the reorder
+        buffer in delivery order (merged into a stored or buffered row
+        with its timestamp, buffered, or dropped as hopelessly late),
+        so a stream ingests the same however it is split into blocks;
+        rows the window releases are written as one block.
 
         Args:
             epoch_s: Sample timestamps, shape ``(steps,)``; under the
@@ -393,8 +273,9 @@ class EnvironmentalDatabase:
                 stored as NaN.
 
         Raises:
-            ValueError: on wrong-shape matrices; under the strict
-                policy, also on out-of-order timestamps.
+            ValueError: on wrong-shape matrices, before anything is
+                stored; under the strict policy, also on out-of-order
+                timestamps.
         """
         epochs = np.asarray(epoch_s, dtype="float64")
         if epochs.ndim != 1:
@@ -411,59 +292,78 @@ class EnvironmentalDatabase:
                     f"got {matrix.shape}"
                 )
             matrices[channel] = matrix
-        if not self.policy.strict:
-            for i in range(count):
-                self._lenient_ingest(
-                    float(epochs[i]),
-                    {ch: matrix[i].copy() for ch, matrix in matrices.items()},
+        if self.policy.strict:
+            if np.any(np.diff(epochs) < 0):
+                raise ValueError("block timestamps must be non-decreasing")
+            if self._size > 0 and epochs[0] < self._epoch[self._size - 1]:
+                raise ValueError(
+                    f"out-of-order block: {epochs[0]} after "
+                    f"{self._epoch[self._size - 1]}"
                 )
+            self._write(epochs, matrices)
             return
-        if np.any(np.diff(epochs) < 0):
-            raise ValueError("block timestamps must be non-decreasing")
-        if self._size > 0 and epochs[0] < self._epoch[self._size - 1]:
-            raise ValueError(
-                f"out-of-order block: {epochs[0]} after {self._epoch[self._size - 1]}"
-            )
-        while self._size + count > self._capacity:
-            self._grow()
-        start, end = self._size, self._size + count
-        self._epoch[start:end] = epochs
-        for channel, matrix in matrices.items():
-            self._columns[channel][start:end] = matrix
-            if self._quality is not None:
-                self._quality[channel][start:end] = np.where(
-                    np.isfinite(matrix), int(Quality.OK), int(Quality.MISSING)
-                )
-        self._size = end
-        self.counters.add(accepted_rows=count)
-        self._watermark = max(self._watermark, float(epochs[-1]))
+        absent = np.full(self._num_racks, np.nan)
+        for i, epoch in enumerate(epochs.tolist()):
+            row = {
+                ch: matrices[ch][i].copy() if ch in matrices else absent.copy()
+                for ch in CHANNELS
+            }
+            self._buffer(epoch, row)
 
-    def ingest_reading(
-        self, reading: "SensorReading", utilization: float = np.nan
-    ) -> None:
-        """Ingest a single-rack :class:`SensorReading` (slow path).
+    def _buffer(self, epoch_s: float, row: Dict[Channel, np.ndarray]) -> None:
+        """Route one lenient row: merge, buffer, or drop; then commit
+        whatever the reorder window releases."""
+        for pending_epoch, pending_row in self._pending:
+            if pending_epoch == epoch_s:
+                for channel, values in row.items():
+                    _fill_holes(pending_row[channel], values)
+                self.counters.add(duplicate_rows=1)
+                return
+        last_committed = self._epoch[self._size - 1] if self._size else -np.inf
+        if epoch_s <= last_committed:
+            # Duplicate of a committed row, or hopelessly late.
+            index = int(np.searchsorted(self._epoch[: self._size], epoch_s))
+            if index < self._size and self._epoch[index] == epoch_s:
+                self._merge_committed(index, row)
+                self.counters.add(duplicate_rows=1)
+            else:
+                self.counters.add(dropped_late_rows=1)
+            return
+        if epoch_s < self._watermark:
+            self.counters.add(reordered_rows=1)
+        self._pending.append((epoch_s, row))
+        self._watermark = max(self._watermark, epoch_s)
+        self._commit_ready()
 
-        Creates a new snapshot row in which all racks other than the
-        reading's are NaN.  Under a lenient ``merge`` policy, readings
-        from *different* racks at the same timestamp merge into one
-        row.  Intended for unit tests and small-scale monitor
-        exercises, not the bulk simulation path.
-        """
-        row = {
-            Channel.DC_TEMPERATURE: reading.dc_temperature_f,
-            Channel.DC_HUMIDITY: reading.dc_humidity_rh,
-            Channel.FLOW: reading.flow_gpm,
-            Channel.INLET_TEMPERATURE: reading.inlet_temperature_f,
-            Channel.OUTLET_TEMPERATURE: reading.outlet_temperature_f,
-            Channel.POWER: reading.power_kw,
-            Channel.UTILIZATION: utilization,
-        }
-        snapshot = {}
-        for channel, value in row.items():
-            vector = np.full(self._num_racks, np.nan)
-            vector[reading.rack_id.flat_index] = value
-            snapshot[channel] = vector
-        self.append_snapshot(reading.epoch_s, snapshot)
+    def _merge_committed(self, index: int, row: Dict[Channel, np.ndarray]) -> None:
+        """Fill a committed row's NaN holes from a duplicate; the filled
+        cells become ``OK`` and every other flag stays as it was."""
+        for channel, values in row.items():
+            filled = _fill_holes(self._columns[channel][index], values)
+            self._quality[channel][index, filled] = int(Quality.OK)
+        self._invalidate_digest_rows(index, index + 1)
+
+    def _commit_ready(self, force: bool = False) -> None:
+        """Write buffered rows that can no longer be reordered, as one
+        block."""
+        if not self._pending:
+            return
+        cutoff = (
+            np.inf if force else self._watermark - self.policy.reorder_window_s
+        )
+        ready = [row for row in self._pending if row[0] <= cutoff]
+        if not ready:
+            return
+        self._pending = [row for row in self._pending if row[0] > cutoff]
+        ready.sort(key=lambda row: row[0])
+        self._write(
+            np.array([epoch for epoch, _ in ready]),
+            {ch: np.stack([row[ch] for _, row in ready]) for ch in CHANNELS},
+        )
+
+    def flush(self) -> None:
+        """Commit every buffered row (end of stream, or before a query)."""
+        self._commit_ready(force=True)
 
     # -- queries ---------------------------------------------------------------
 
@@ -505,9 +405,7 @@ class EnvironmentalDatabase:
             )
         epochs = _readonly(self._epoch[start:stop])
         values = {ch: _readonly(self._columns[ch][start:stop]) for ch in CHANNELS}
-        quality = {
-            ch: _readonly(self._quality_matrix(ch)[start:stop]) for ch in CHANNELS
-        }
+        quality = {ch: _readonly(self._quality[ch][start:stop]) for ch in CHANNELS}
         return epochs, values, quality
 
     @property
@@ -582,7 +480,7 @@ class EnvironmentalDatabase:
         lo = int(np.searchsorted(epochs, start_epoch_s, side="left"))
         hi = int(np.searchsorted(epochs, end_epoch_s, side="left"))
         columns = {ch: self._columns[ch] for ch in CHANNELS}
-        qualities = {ch: self._quality_matrix(ch) for ch in CHANNELS}
+        qualities = {ch: self._quality[ch] for ch in CHANNELS}
         for i in range(lo, hi, block_size):
             j = min(i + block_size, hi)
             values = {ch: _readonly(columns[ch][i:j]) for ch in CHANNELS}
@@ -593,18 +491,7 @@ class EnvironmentalDatabase:
 
     def _quality_matrix(self, channel: Channel) -> np.ndarray:
         """The live (writable) quality matrix for one channel."""
-        if self._quality is not None:
-            return self._quality[channel][: self._size]
-        # Archived stores carry no quality files; derive from NaN-ness
-        # once and cache so scrubbers can still annotate in memory.
-        cached = self._derived_quality.get(channel)
-        if cached is None or cached.shape[0] != self._size:
-            values = self._columns[channel][: self._size]
-            cached = np.where(
-                np.isfinite(values), int(Quality.OK), int(Quality.MISSING)
-            ).astype(np.uint8)
-            self._derived_quality[channel] = cached
-        return cached
+        return self._quality[channel][: self._size]
 
     def quality(self, channel: Channel) -> np.ndarray:
         """Per-cell :class:`Quality` flags, shape ``(n, racks)`` (read-only)."""
@@ -677,11 +564,7 @@ class EnvironmentalDatabase:
                 f"quality rows [{start_row}, {stop}) out of range "
                 f"(committed: {self._size})"
             )
-        if self._quality is not None:
-            self._quality[channel][start_row:stop] = block
-        else:
-            # Archived store: annotate the derived-quality cache.
-            self._quality_matrix(channel)[start_row:stop] = block
+        self._quality[channel][start_row:stop] = block
         self._invalidate_digest_rows(start_row, stop)
 
     def missing_cells(self, channel: Channel) -> int:
@@ -784,7 +667,7 @@ class EnvironmentalDatabase:
                 f"(committed: {self._size})"
             )
         values = {ch: self._columns[ch][start:stop] for ch in CHANNELS}
-        quality = {ch: self._quality_matrix(ch)[start:stop] for ch in CHANNELS}
+        quality = {ch: self._quality[ch][start:stop] for ch in CHANNELS}
         return hash_block(self._epoch[start:stop], values, quality)
 
     def digest_info(
@@ -842,12 +725,13 @@ class EnvironmentalDatabase:
     # -- maintenance ---------------------------------------------------------------
 
     def compact(self) -> None:
-        """Shrink internal buffers to the exact data size."""
+        """Shrink internal buffers to the exact data size (a no-op on a
+        store already exactly sized, such as an archive view)."""
         self.flush()
+        if self._capacity == self._size:
+            return
         self._epoch = self._epoch[: self._size].copy()
-        for channel in list(self._columns):
-            self._columns[channel] = self._columns[channel][: self._size].copy()
-        if self._quality is not None:
-            for channel in list(self._quality):
-                self._quality[channel] = self._quality[channel][: self._size].copy()
-        self._capacity = max(1, self._size)
+        for matrices in (self._columns, self._quality):
+            for channel in list(matrices):
+                matrices[channel] = matrices[channel][: self._size].copy()
+        self._capacity = self._size

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro import constants
 from repro.facility.topology import RackId
-from repro.telemetry.database import EnvironmentalDatabase
+from repro.telemetry.database import EnvironmentalDatabase, presence_flags
 from repro.telemetry.ras import RasEvent, RasLog, Severity
 from repro.telemetry.records import CHANNELS, Channel, Quality
 from repro.telemetry.schema import telemetry_header
@@ -48,13 +48,6 @@ _QUALITY_HEADER = telemetry_header(include_quality=True)
 #: Samples per export chunk; bounds peak memory at
 #: ``chunk x racks x channels`` cells regardless of dataset length.
 _EXPORT_CHUNK_SAMPLES = 1024
-
-
-def _derived_flags(values: np.ndarray) -> np.ndarray:
-    """The quality a cell would be assigned from NaN-ness alone."""
-    return np.where(
-        np.isfinite(values), int(Quality.OK), int(Quality.MISSING)
-    ).astype(np.uint8)
 
 
 def export_telemetry_csv(
@@ -105,7 +98,7 @@ def export_telemetry_csv(
                     ch: np.asarray(qualities[ch][start:stop]) for ch in CHANNELS
                 }
                 nondefault = {
-                    ch: qchunk[ch] != _derived_flags(chunk[ch]) for ch in CHANNELS
+                    ch: qchunk[ch] != presence_flags(chunk[ch]) for ch in CHANNELS
                 }
                 for ch in CHANNELS:
                     keep |= nondefault[ch]

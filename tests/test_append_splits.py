@@ -33,7 +33,7 @@ from tests.test_incremental_report import _clone_database, assert_sections_equal
 DEMO_ROWS = 5760
 
 
-def _append_rows(target, source, lo: int, hi: int) -> None:
+def _copy_rows(target, source, lo: int, hi: int) -> None:
     """Append ``source`` rows ``[lo, hi)`` to ``target``, quality included."""
     target.append_block(
         np.asarray(source.epoch_s[lo:hi]).copy(),
@@ -70,7 +70,7 @@ def test_grown_memo_equals_one_shot_build(demo_result, cuts):
         )
         assert store.counters.state_misses == 2
         for step, (lo, hi) in enumerate(zip(cuts, cuts[1:] + [DEMO_ROWS]), start=1):
-            _append_rows(database, source, lo, hi)
+            _copy_rows(database, source, lo, hi)
             assert_sections_equal(
                 full_report(grown, workers=1, section_cache=False),
                 full_report(grown, workers=1, section_cache=store),

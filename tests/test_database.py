@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import constants
-from repro.cooling.monitor import SensorReading
 from repro.facility.topology import RackId
 from repro.telemetry.database import EnvironmentalDatabase, IngestPolicy
 from repro.telemetry.records import Channel, Quality
@@ -12,6 +11,16 @@ from repro.telemetry.records import Channel, Quality
 
 def _snapshot(value=1.0):
     return {ch: np.full(constants.NUM_RACKS, value) for ch in Channel}
+
+
+def _one_rack(rack, **values):
+    """One rack's reading as whole-floor vectors, NaN at every other rack."""
+    snapshot = {}
+    for channel, value in values.items():
+        vector = np.full(constants.NUM_RACKS, np.nan)
+        vector[rack.flat_index] = value
+        snapshot[Channel(channel)] = vector
+    return snapshot
 
 
 class TestIngest:
@@ -49,17 +58,19 @@ class TestIngest:
 
     def test_ingest_single_reading(self):
         db = EnvironmentalDatabase()
-        reading = SensorReading(
-            epoch_s=0.0,
-            rack_id=RackId(1, 8),
-            dc_temperature_f=80.0,
-            dc_humidity_rh=33.0,
-            flow_gpm=26.0,
-            inlet_temperature_f=64.0,
-            outlet_temperature_f=79.0,
-            power_kw=55.0,
+        db.append_snapshot(
+            0.0,
+            _one_rack(
+                RackId(1, 8),
+                dc_temperature_f=80.0,
+                dc_humidity_rh=33.0,
+                flow_gpm=26.0,
+                inlet_temperature_f=64.0,
+                outlet_temperature_f=79.0,
+                power_kw=55.0,
+                utilization=0.9,
+            ),
         )
-        db.ingest_reading(reading, utilization=0.9)
         flat = RackId(1, 8).flat_index
         assert db.channel(Channel.FLOW).values[0, flat] == 26.0
         assert np.isnan(db.channel(Channel.FLOW).values[0, 0])
@@ -200,6 +211,13 @@ class TestQueries:
         assert db.num_samples == 5
         assert db.channel(Channel.POWER).values[4, 0] == 4.0
 
+    def test_compact_empty_then_append(self):
+        db = EnvironmentalDatabase()
+        db.compact()
+        db.append_snapshot(0.0, _snapshot(1.0))
+        assert db.num_samples == 1
+        assert (db.quality(Channel.POWER) == Quality.OK).all()
+
     def test_bad_num_racks_rejected(self):
         with pytest.raises(ValueError):
             EnvironmentalDatabase(num_racks=0)
@@ -227,25 +245,14 @@ class TestQueries:
 
 
 class TestSlowIngestPaths:
-    """The row-at-a-time paths the bulk simulator never exercises."""
+    """One-row deliveries the bulk simulator never sends: single-rack
+    readings, equal timestamps, appends after a compact."""
 
-    def _reading(self, epoch_s, rack, flow=26.0):
-        return SensorReading(
-            epoch_s=epoch_s,
-            rack_id=rack,
-            dc_temperature_f=80.0,
-            dc_humidity_rh=33.0,
-            flow_gpm=flow,
-            inlet_temperature_f=64.0,
-            outlet_temperature_f=79.0,
-            power_kw=55.0,
-        )
-
-    def test_ingest_reading_roundtrip_through_rack_channel(self):
+    def test_one_rack_snapshots_roundtrip_through_rack_channel(self):
         db = EnvironmentalDatabase()
         rack = RackId(2, 7)
         for i, flow in enumerate((25.0, 26.5, 24.8)):
-            db.ingest_reading(self._reading(i * 300.0, rack, flow=flow))
+            db.append_snapshot(i * 300.0, _one_rack(rack, flow_gpm=flow))
         series = db.rack_channel(Channel.FLOW, rack)
         assert list(series.values) == [25.0, 26.5, 24.8]
         assert list(series.epoch_s) == [0.0, 300.0, 600.0]
@@ -255,12 +262,10 @@ class TestSlowIngestPaths:
         assert (db.rack_quality(Channel.FLOW, other) == Quality.MISSING).all()
         assert (db.rack_quality(Channel.FLOW, rack) == Quality.OK).all()
 
-    def test_ingest_reading_merges_same_timestamp(self):
-        db = EnvironmentalDatabase(
-            policy=IngestPolicy.lenient(duplicate_policy="merge")
-        )
-        db.ingest_reading(self._reading(0.0, RackId(0, 0), flow=20.0))
-        db.ingest_reading(self._reading(0.0, RackId(1, 1), flow=30.0))
+    def test_one_rack_snapshots_merge_same_timestamp(self):
+        db = EnvironmentalDatabase(policy=IngestPolicy.lenient())
+        db.append_snapshot(0.0, _one_rack(RackId(0, 0), flow_gpm=20.0))
+        db.append_snapshot(0.0, _one_rack(RackId(1, 1), flow_gpm=30.0))
         assert db.num_samples == 1
         flow = db.channel(Channel.FLOW).values
         assert flow[0, RackId(0, 0).flat_index] == 20.0
@@ -292,8 +297,6 @@ class TestIngestPolicy:
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             IngestPolicy(reorder_window_s=-1.0)
-        with pytest.raises(ValueError):
-            IngestPolicy(duplicate_policy="nonsense")
 
     def test_lenient_reorders_within_window(self):
         db = EnvironmentalDatabase(
@@ -318,30 +321,8 @@ class TestIngestPolicy:
         assert db.counters.dropped_late_rows == 1
         assert 1500.0 not in db.epoch_s
 
-    def test_duplicate_first_keeps_original(self):
-        db = EnvironmentalDatabase(
-            policy=IngestPolicy.lenient(duplicate_policy="first")
-        )
-        db.append_snapshot(0.0, _snapshot(1.0))
-        db.append_snapshot(0.0, _snapshot(2.0))
-        db.flush()
-        assert db.num_samples == 1
-        assert db.channel(Channel.POWER).values[0, 0] == 1.0
-        assert db.counters.duplicate_rows == 1
-
-    def test_duplicate_last_overwrites(self):
-        db = EnvironmentalDatabase(
-            policy=IngestPolicy.lenient(duplicate_policy="last")
-        )
-        db.append_snapshot(0.0, _snapshot(1.0))
-        db.append_snapshot(0.0, _snapshot(2.0))
-        db.flush()
-        assert db.channel(Channel.POWER).values[0, 0] == 2.0
-
     def test_duplicate_merge_fills_holes_only(self):
-        db = EnvironmentalDatabase(
-            policy=IngestPolicy.lenient(duplicate_policy="merge")
-        )
+        db = EnvironmentalDatabase(policy=IngestPolicy.lenient())
         first = _snapshot(1.0)
         first[Channel.FLOW][:] = np.nan
         db.append_snapshot(0.0, first)
@@ -352,17 +333,29 @@ class TestIngestPolicy:
         assert (db.quality(Channel.FLOW) == Quality.OK).all()
 
     def test_duplicate_against_committed_row(self):
-        db = EnvironmentalDatabase(
-            policy=IngestPolicy.lenient(duplicate_policy="last")
-        )
-        db.append_snapshot(0.0, _snapshot(1.0))
+        db = EnvironmentalDatabase(policy=IngestPolicy.lenient())
+        first = _snapshot(1.0)
+        first[Channel.FLOW][:2] = np.nan
+        db.append_snapshot(0.0, first)
         db.append_snapshot(1000.0, _snapshot(2.0))
         db.flush()
-        db.append_snapshot(0.0, _snapshot(5.0))
+        # A scrubber verdict on the committed row survives the merge.
+        suspect = np.zeros((2, constants.NUM_RACKS), dtype=bool)
+        suspect[0, 5] = True
+        db.update_quality(Channel.POWER, suspect, Quality.SUSPECT)
+        late = _snapshot(5.0)
+        late[Channel.FLOW][1] = np.nan
+        db.append_snapshot(0.0, late)
         db.flush()
         assert db.num_samples == 2
-        assert db.channel(Channel.POWER).values[0, 0] == 5.0
         assert db.counters.duplicate_rows == 1
+        assert db.channel(Channel.POWER).values[0, 0] == 1.0  # kept
+        flow = db.channel(Channel.FLOW).values[0]
+        assert flow[0] == 5.0 and np.isnan(flow[1]) and flow[2] == 1.0
+        flow_quality = db.quality(Channel.FLOW)[0]
+        assert flow_quality[0] == Quality.OK  # filled
+        assert flow_quality[1] == Quality.MISSING  # still a hole
+        assert db.quality(Channel.POWER)[0, 5] == Quality.SUSPECT
 
     def test_queries_flush_pending_rows(self):
         db = EnvironmentalDatabase(

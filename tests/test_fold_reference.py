@@ -1,14 +1,18 @@
-"""Figs 2-9 built from their fold state, pinned to the whole-store analyses.
+"""Every report section, pinned to the whole-store analyses.
 
 The report builds Figs 2-9 only from the ``system-series`` and
-``rack-profile`` fold states, with the section memo on or off.  The
-whole-store analysis API (``yearly_trends``, ``monthly_profiles``,
-``rack_power_profile`` ...) is a second, independent computation of
-the same figures, and this module pins every measured value of those
-sections against it.  The system-series sections (Figs 2, 3, 4, 5, 8)
-reduce the same row-local series, so they match exactly; the
-rack-profile sections (Figs 6, 7, 9) divide folded (sum, count) pairs
-where the reference takes a ``nanmean``, so they match within 1e-12.
+``rack-profile`` fold states, with the section memo on or off, and
+Figs 10-11 and 14-15 from one shared 6 h CMF dedup (Fig 11's
+correlations read the rack-profile state's means).  The whole-store
+analysis API (``yearly_trends``, ``rack_power_profile``,
+``analyze_cmfs``, ``analyze_aftermath`` ...) is a second, independent
+computation of the same figures, and this module pins every measured
+value of those sections against it.  The system-series sections (Figs
+2, 3, 4, 5, 8) reduce the same row-local series, and Figs 14-15 run
+the same analysis on the same dedup, so they match exactly; the
+rack-profile sections (Figs 6, 7, 9, and Fig 11's correlations) divide
+folded (sum, count) pairs where the reference takes a ``nanmean``, so
+they match within 1e-12.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ import math
 import pytest
 
 from repro import constants
-from repro.analytics.incremental import SECTION_STATES
+from repro.core.aftermath import NO_AFTERMATH, analyze_aftermath
 from repro.core.environment import ambient_spatial, ambient_trends
 from repro.core.experiments import SECTION_BUILDERS, full_report
+from repro.core.failure_analysis import analyze_cmfs
 from repro.core.spatial import rack_coolant_profile, rack_power_profile
 from repro.core.trends import (
     coolant_trends,
@@ -31,10 +36,13 @@ from repro.core.trends import (
 from repro.facility.topology import RackId
 from repro.telemetry.records import Channel
 
-#: Sections whose fold must equal the reference bit for bit.
-EXACT = ("fig2_rows", "fig3_rows", "fig4_rows", "fig5_rows", "fig8_rows")
+#: Sections that must equal the reference bit for bit.
+EXACT = (
+    "fig2_rows", "fig3_rows", "fig4_rows", "fig5_rows", "fig8_rows",
+    "fig14_15_rows",
+)
 #: Sections folded as (sum, count) accumulators: within this tolerance.
-ACCUMULATED = ("fig6_rows", "fig7_rows", "fig9_rows")
+ACCUMULATED = ("fig6_rows", "fig7_rows", "fig9_rows", "fig10_11_rows")
 TOLERANCE = 1e-12
 
 #: The Fig 4/5 profile channels (``None`` profiles system power).
@@ -51,8 +59,13 @@ def _is_rack(rack: RackId, pair) -> float:
     return float(rack == RackId(*pair))
 
 
-def reference_values(database):
-    """Every Fig 2-9 measured value, in row order, from the whole-store API."""
+def reference_values(result):
+    """Every section's measured value, in row order, from the whole-store API."""
+    database = result.database
+    cmfs = analyze_cmfs(result.ras_log, database)
+    aftermath = (
+        analyze_aftermath(result.ras_log) if cmfs.total else NO_AFTERMATH
+    )
     yearly = yearly_trends(database)
     coolant = coolant_trends(database)
     monthly = monthly_profiles(database, CALENDAR_CHANNELS)
@@ -115,6 +128,29 @@ def reference_values(database):
             temp_delta,
             humidity_delta,
         ],
+        "fig10_11_rows": [
+            cmfs.total,
+            cmfs.fraction_2016,
+            cmfs.longest_quiet_gap_days,
+            float(cmfs.is_bathtub()),
+            cmfs.max_rack_count,
+            cmfs.min_rack_count,
+            _is_rack(cmfs.most_failing_rack, constants.MOST_CMF_RACK),
+            _is_rack(cmfs.least_failing_rack, constants.FEWEST_CMF_RACK),
+            cmfs.utilization_correlation,
+            cmfs.outlet_correlation,
+            cmfs.humidity_correlation,
+        ],
+        "fig14_15_rows": [
+            aftermath.rate_6h,
+            aftermath.rate_48h,
+            *(
+                aftermath.category_mix.get(category, 0.0)
+                for category in ("ac_dc_power", "bqc", "bql", "process")
+            ),
+            float(len(aftermath.examples)),
+            aftermath.nonlocal_fraction(),
+        ],
     }
 
 
@@ -136,11 +172,12 @@ def folded_and_reference(request):
         name: [row.measured_value for row in report[titles[name]]]
         for name in EXACT + ACCUMULATED
     }
-    return folded, reference_values(result.database)
+    return folded, reference_values(result)
 
 
 def test_every_fold_section_is_pinned():
-    assert set(EXACT) | set(ACCUMULATED) == set(SECTION_STATES)
+    # Every section of the report, Figs 10-11 and 14-15 included.
+    assert set(EXACT) | set(ACCUMULATED) == {fn.__name__ for _, fn in SECTION_BUILDERS}
 
 
 @pytest.mark.parametrize("name", EXACT + ACCUMULATED)

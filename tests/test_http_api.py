@@ -484,6 +484,18 @@ class TestOverSocket:
         assert handler.close_connection
         assert app.counters.connection_errors == 1
 
+    def test_unencodable_payload_is_a_structured_500(self):
+        """A payload the JSON tripwire refuses reaches the client as a
+        500 ``internal`` and counts once, as a server error."""
+        app = OperationsApp.from_database(_database())
+        app._dispatch = lambda *args: (200, {"value": float("nan")}, {})
+        with OperationsHttpServer(app) as server:
+            status, payload = self._request(server, "GET", "/healthz")
+        _assert_error(status, payload, 500, "internal")
+        counters = app.counters.as_dict()
+        assert counters["requests"] == counters["server_errors"] == 1
+        assert counters["served"] == counters["connection_errors"] == 0
+
     def test_query_over_socket_matches_direct_dispatch(self, server, app):
         path = "/v1/query/aggregate?channel=power_kw&start_s=0&end_s=3600"
         status, over_socket = self._request(server, "GET", path)

@@ -230,3 +230,29 @@ class TestReadOnlyReplica:
                 assert refusal["error"]["type"] == "read_only"
             finally:
                 conn.close()
+
+    def test_cli_archive_serves_read_only(self, tmp_path, monkeypatch):
+        """``repro serve-http --archive`` implies ``--no-ingest``: an
+        archive is a read-only view, so POST answers 503, not 500."""
+        import repro.service.http
+        from repro.cli import main
+
+        TelemetryArchive.save(_database(), tmp_path / "archive")
+        served = []
+
+        class Recording(OperationsHttpServer):
+            def __init__(self, app, **kwargs):
+                super().__init__(app, **kwargs)
+                served.append(app)
+
+        monkeypatch.setattr(repro.service.http, "OperationsHttpServer", Recording)
+        argv = ["serve-http", "--archive", str(tmp_path / "archive")]
+        assert main(argv + ["--port", "0", "--duration", "0"]) == 0
+        (app,) = served
+        status, health, _ = app.handle("GET", "/healthz", {})
+        assert status == 200 and health["ingest_enabled"] is False
+        status, refusal, _ = app.handle(
+            "POST", "/v1/ingest", {}, body={"api_version": 1}
+        )
+        assert status == 503
+        assert refusal["error"]["type"] == "read_only"

@@ -127,9 +127,7 @@ class TestIngestEquivalence:
         _assert_databases_equal(served, direct)
 
     def test_lenient_duplicate_resolution_equal_direct(self):
-        policy = IngestPolicy.lenient(
-            reorder_window_s=4 * CADENCE_S, duplicate_policy="merge"
-        )
+        policy = IngestPolicy.lenient(reorder_window_s=4 * CADENCE_S)
         served = _seed_database(policy=policy)
         direct = _seed_database(policy=policy)
         app = OperationsApp.from_database(served, ingest=IngestServerConfig())

@@ -79,19 +79,6 @@ class TestOnlinePredictor:
         final = predictions[-1]
         assert final.probability > 0.9
 
-    def test_missing_channel_rejected_in_strict_mode(self, online_model):
-        predictor = OnlineCmfPredictor(online_model, strict=True)
-        sample = _healthy_sample()
-        del sample[Channel.FLOW]
-        with pytest.raises(ValueError):
-            predictor.consume(0.0, RackId(0, 0), sample)
-
-    def test_out_of_order_rejected_in_strict_mode(self, online_model):
-        predictor = OnlineCmfPredictor(online_model, strict=True)
-        predictor.consume(1000.0, RackId(0, 0), _healthy_sample())
-        with pytest.raises(ValueError):
-            predictor.consume(500.0, RackId(0, 0), _healthy_sample())
-
     def test_missing_channel_filled_by_carry_forward(self, online_model):
         predictor = OnlineCmfPredictor(online_model)
         predictor.consume(0.0, RackId(0, 0), _healthy_sample())
